@@ -42,7 +42,7 @@ use std::path::PathBuf;
 use symphony_kvfs::KvError;
 use symphony_model::Dist;
 use symphony_sim::frame::{
-    append_frame, fnv1a, push_opt_u64, push_str, push_u32, push_u64, read_frames, Cursor,
+    append_frame, fnv1a, next_frame, push_opt_u64, push_str, push_u32, push_u64, Cursor,
 };
 use symphony_sim::{SimDuration, SimTime};
 
@@ -747,13 +747,13 @@ pub fn tag_name(tag: u8) -> &'static str {
 
 /// Parses WAL bytes and counts valid frames per tag — the journal-growth
 /// observability hook `exp_recovery` reports, answering "what is this log
-/// made of" without replaying it.
+/// made of" without replaying it. Each record is decoded and dropped, so
+/// counting keeps no more than one record in memory.
 pub fn frame_counts(bytes: &[u8]) -> Result<BTreeMap<&'static str, u64>, WalError> {
-    let (_seed, records, _len, _torn) = read_wal(bytes)?;
     let mut counts = BTreeMap::new();
-    for rec in &records {
-        *counts.entry(tag_name(record_tag(rec))).or_insert(0u64) += 1;
-    }
+    walk_wal(bytes, |rec| {
+        *counts.entry(tag_name(record_tag(&rec))).or_insert(0u64) += 1;
+    })?;
     Ok(counts)
 }
 
@@ -783,6 +783,15 @@ fn header_bytes(seed: u64) -> Vec<u8> {
 /// prefix exactly like a torn frame — forward-compatible and crash-safe
 /// in the same code path.
 pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool), WalError> {
+    let mut records = Vec::new();
+    let (seed, valid_len, torn) = walk_wal(bytes, |rec| records.push(rec))?;
+    Ok((seed, records, valid_len, torn))
+}
+
+/// Checks the header, then decodes the longest valid record prefix frame
+/// by frame, borrowing each payload from `bytes` and handing each record
+/// to `visit`. Returns what [`read_wal`] does, minus the records.
+fn walk_wal(bytes: &[u8], mut visit: impl FnMut(WalRecord)) -> Result<(u64, u64, bool), WalError> {
     if bytes.len() < HEADER_LEN {
         return Err(WalError::Unreadable);
     }
@@ -798,23 +807,22 @@ pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool),
     if stored_crc != fnv1a(&bytes[..HEADER_LEN - 4]) {
         return Err(WalError::Unreadable);
     }
-    let (frames, mut torn) = read_frames(&bytes[HEADER_LEN..]);
-    let mut records = Vec::with_capacity(frames.len());
+    let body = &bytes[HEADER_LEN..];
+    let mut c = Cursor::new(body);
     let mut valid_len = HEADER_LEN as u64;
-    for (tag, payload) in frames {
-        match decode_payload(tag, &payload) {
-            Some(rec) => {
-                // Frame layout: tag u8 + len u32 + payload + crc u32.
-                valid_len += 9 + payload.len() as u64;
-                records.push(rec);
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
+    loop {
+        let mark = c.pos();
+        let Some((tag, payload)) = next_frame(&mut c) else {
+            // Leftover bytes that do not form a checksummed frame: torn.
+            return Ok((seed, valid_len, mark != body.len()));
+        };
+        let Some(rec) = decode_payload(tag, payload) else {
+            return Ok((seed, valid_len, true));
+        };
+        // Frame layout: tag u8 + len u32 + payload + crc u32.
+        valid_len += 9 + payload.len() as u64;
+        visit(rec);
     }
-    Ok((seed, records, valid_len, torn))
 }
 
 // ---- writer ----------------------------------------------------------------
@@ -1325,10 +1333,16 @@ mod tests {
             assert_eq!(prefix.len(), whole, "cut at {cut}");
             let last_boundary = boundaries.iter().filter(|&&b| b <= cut).max().unwrap();
             assert_eq!(valid_len, *last_boundary as u64, "cut at {cut}");
+            assert_eq!(
+                frame_counts(&bytes[..cut]),
+                Ok(counts_of(&prefix)),
+                "cut at {cut}"
+            );
         }
         // Cuts inside the header are unreadable, not torn.
         for cut in 0..HEADER_LEN {
             assert_eq!(read_wal(&bytes[..cut]), Err(WalError::Unreadable));
+            assert_eq!(frame_counts(&bytes[..cut]), Err(WalError::Unreadable));
         }
     }
 
@@ -1354,6 +1368,16 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert!(valid_len < bytes.len() as u64);
         assert!(torn);
+        assert_eq!(frame_counts(&bytes), Ok(counts_of(&records)));
+    }
+
+    /// Per-tag record counts, the way `frame_counts` reports them.
+    fn counts_of(records: &[WalRecord]) -> BTreeMap<&'static str, u64> {
+        let mut counts = BTreeMap::new();
+        for rec in records {
+            *counts.entry(tag_name(record_tag(rec))).or_insert(0) += 1;
+        }
+        counts
     }
 
     #[test]

@@ -375,6 +375,18 @@ const HEADER_LEN: usize = 4 + 4 + 8 * 4 + 4;
 /// unusable — there is nothing to restore. A version or magic mismatch is
 /// [`KvError::JournalIncompatible`].
 pub fn read_journal(bytes: &[u8]) -> Result<(JournalHeader, Vec<Record>, bool), KvError> {
+    let mut records = Vec::new();
+    let (header, torn) = walk_journal(bytes, |rec| records.push(rec))?;
+    Ok((header, records, torn))
+}
+
+/// Checks the header, then decodes the longest valid record prefix frame
+/// by frame, handing each record before [`Record::End`] to `visit`.
+/// Returns what [`read_journal`] does, minus the records.
+fn walk_journal(
+    bytes: &[u8],
+    mut visit: impl FnMut(Record),
+) -> Result<(JournalHeader, bool), KvError> {
     if bytes.len() < HEADER_LEN {
         return Err(KvError::JournalTorn);
     }
@@ -398,19 +410,16 @@ pub fn read_journal(bytes: &[u8]) -> Result<(JournalHeader, Vec<Record>, bool), 
         return Err(KvError::JournalTorn);
     }
 
-    let mut records = Vec::new();
-    let mut complete = false;
     while let Some((tag, payload)) = next_frame(&mut c) {
         let Some(rec) = decode_payload(tag, payload) else {
             break;
         };
         if rec == Record::End {
-            complete = true;
-            break;
+            return Ok((header, false));
         }
-        records.push(rec);
+        visit(rec);
     }
-    Ok((header, records, !complete))
+    Ok((header, true))
 }
 
 /// Human-readable name for a record's frame type.
@@ -431,15 +440,15 @@ fn record_name(rec: &Record) -> &'static str {
 /// Parses journal bytes and counts valid records per frame type — the
 /// journal-growth observability hook `exp_persist` reports alongside the
 /// `kvfs.journal_bytes` gauge. The `End` terminator is not counted; a
-/// torn tail only shortens the counted prefix.
+/// torn tail only shortens the counted prefix. Records are decoded and
+/// dropped one at a time, never collected.
 pub fn frame_counts(
     bytes: &[u8],
 ) -> Result<std::collections::BTreeMap<&'static str, u64>, KvError> {
-    let (_header, records, _torn) = read_journal(bytes)?;
     let mut counts = std::collections::BTreeMap::new();
-    for rec in &records {
-        *counts.entry(record_name(rec)).or_insert(0u64) += 1;
-    }
+    walk_journal(bytes, |rec| {
+        *counts.entry(record_name(&rec)).or_insert(0u64) += 1;
+    })?;
     Ok(counts)
 }
 
@@ -688,6 +697,11 @@ mod tests {
             assert!(torn, "cut at {cut} must read as torn");
             assert!(records.len() <= full.len());
             assert_eq!(records[..], full[..records.len()], "prefix at {cut}");
+            let mut counts = std::collections::BTreeMap::new();
+            for rec in &records {
+                *counts.entry(record_name(rec)).or_insert(0u64) += 1;
+            }
+            assert_eq!(frame_counts(&bytes[..cut]), Ok(counts), "counts at {cut}");
             seen_lens.insert(records.len());
         }
         assert!(seen_lens.contains(&0));

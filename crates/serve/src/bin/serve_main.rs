@@ -88,6 +88,11 @@ fn serve_loop(listener: TcpListener, cfg: ServeConfig, stop: &AtomicBool) {
         let mut idle = true;
         match listener.accept() {
             Ok((sock, peer)) => {
+                // Replies are small frames; with Nagle on, each waits for
+                // the client's delayed ACK (up to ~40 ms on Linux).
+                if let Err(e) = sock.set_nodelay(true) {
+                    eprintln!("symphony-serve: nodelay: {e}");
+                }
                 if sock.set_nonblocking(true).is_ok() {
                     let conn = core.open_conn();
                     eprintln!("symphony-serve: conn {conn} from {peer}");
