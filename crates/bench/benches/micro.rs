@@ -65,7 +65,8 @@ fn bench_kvfs(c: &mut Criterion) {
         let f = s.create(OWNER).unwrap();
         s.append(f, OWNER, &ents).unwrap();
         b.iter(|| {
-            let e = s.extract(f, OWNER, &[1000..2000]).unwrap();
+            let middle = 1000..2000;
+            let e = s.extract(f, OWNER, &[middle]).unwrap();
             s.remove(e, OWNER).unwrap();
         })
     });

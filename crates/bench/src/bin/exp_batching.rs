@@ -45,7 +45,6 @@ fn run_point(
     let mut cfg = KernelConfig::paper_setup();
     cfg.batch_policy = policy;
     cfg.max_batch = 64;
-    cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);
     let mut kernel = Kernel::new(cfg);
 

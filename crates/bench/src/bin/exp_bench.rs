@@ -318,7 +318,6 @@ fn agent_lip(ctx: &mut Ctx) -> Result<(), SysError> {
 /// enough to force preemption — the kernel-bound serving shape.
 fn run_agent_fleet(agents: usize) -> MacroRun {
     let mut cfg = KernelConfig::for_tests();
-    cfg.trace = false;
     cfg.exec = ExecMode::Continuous(ContinuousConfig {
         chunk_tokens: Some(32),
         discipline: QueueDiscipline::Mlfq(MlfqConfig {
@@ -395,7 +394,6 @@ fn rag_lip(ctx: &mut Ctx) -> Result<(), SysError> {
 
 fn run_rag(requests: usize, topics: usize) -> MacroRun {
     let mut cfg = KernelConfig::for_tests();
-    cfg.trace = false;
     cfg.batch_policy = BatchPolicy::Immediate;
     cfg.max_batch = 32;
     cfg.cpu_swap_bytes = 64_000_000;
@@ -733,10 +731,8 @@ fn main() {
 
     let gate = check.map(|baseline| check_against(&baseline, mode, &results));
     merge_and_write(&out, mode, &results);
-    if let Some(res) = gate {
-        if let Err(msg) = res {
-            eprintln!("BENCH gate FAILED: {msg}");
-            std::process::exit(1);
-        }
+    if let Some(Err(msg)) = gate {
+        eprintln!("BENCH gate FAILED: {msg}");
+        std::process::exit(1);
     }
 }

@@ -1,7 +1,7 @@
 //! E15 — per-program observability: causal tracing, critical-path phase
 //! attribution, and why per-pred metrics mislead.
 //!
-//! Every run records causal telemetry (`KernelConfig::causal`): spawn,
+//! Every run records telemetry, which includes the causal events: spawn,
 //! IPC send→recv, join, tool and scheduler-dispatch edges tie each span to
 //! the one that caused it, so the event stream reconstructs into one span
 //! DAG per root program. The critical-path walk then attributes each
@@ -199,14 +199,12 @@ fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.rag_prompt, 0);
     let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
-    let mut pos = s.rag_prompt as u32;
     ctx.kv_swap_out(kv)?;
     ctx.call_tool("rerank", &format!("query {seed}"))?;
     ctx.kv_swap_in(kv)?;
-    for _ in 0..s.rag_decode {
+    for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
         let tok = dist.argmax();
         dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
-        pos += 1;
     }
     ctx.kv_remove(kv)?;
     Ok(())
@@ -237,11 +235,9 @@ fn run_point(
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;
     }
-    cfg.trace = false;
     // Observability is the experiment: every run records causal telemetry.
     // Recording never changes results — the bus only observes.
     cfg.telemetry = true;
-    cfg.causal = true;
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(
         "search",

@@ -133,7 +133,6 @@ fn register_tools(k: &mut Kernel) {
 
 fn make_config(wal_path: &std::path::Path, every: SimDuration, crash_at: Option<u64>) -> KernelConfig {
     let mut cfg = KernelConfig::for_tests();
-    cfg.trace = false;
     cfg.wal = Some(WalConfig::new(wal_path).with_checkpoint_every(every));
     cfg.faults.crash_at_boundary = crash_at;
     cfg

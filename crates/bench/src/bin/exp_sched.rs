@@ -163,13 +163,11 @@ fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let prompt = tokens(seed, s.rag_prompt, 0);
     let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
     let ttft = ctx.now()?.duration_since(t_start);
-    let mut pos = s.rag_prompt as u32;
     let mut itl: Vec<u64> = Vec::new();
     let mut last = ctx.now()?;
-    for _ in 0..s.rag_decode {
+    for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
         let tok = dist.argmax();
         dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
-        pos += 1;
         let t = ctx.now()?;
         itl.push(t.duration_since(last).as_nanos());
         last = t;
@@ -212,7 +210,6 @@ fn run_point(
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;
     }
-    cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(

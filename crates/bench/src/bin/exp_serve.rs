@@ -69,8 +69,10 @@ fn run_cell(
         slow_conns: 0,
         hostile_every: 0,
     };
-    let mut serve_cfg = ServeConfig::default();
-    serve_cfg.tenant_session_quota = quota.unwrap_or(usize::MAX);
+    let serve_cfg = ServeConfig {
+        tenant_session_quota: quota.unwrap_or(usize::MAX),
+        ..ServeConfig::default()
+    };
     let mut kcfg = KernelConfig::for_tests();
     kcfg.telemetry = telemetry;
     let core = ServerCore::new(standard_kernel(kcfg), serve_cfg);

@@ -103,7 +103,6 @@ fn run_mode(
 ) -> (Point, Option<MetricsSnapshot>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(1_000); // segments end by cap
-    cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(

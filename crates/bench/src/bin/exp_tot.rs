@@ -27,7 +27,6 @@ struct Point {
 fn run_point(fork: bool, branching: usize) -> Point {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(100_000);
-    cfg.trace = false;
     let mut kernel = Kernel::new(cfg);
     let prefix_text = symphony_tokenizer::CorpusGen::new(5).paragraph(PREFIX_TOKENS);
     let prefix_tokens = kernel.tokenizer().encode(&prefix_text);

@@ -309,10 +309,8 @@ pub fn run_symphony_point_persist(
         offload_min_latency: SimDuration::from_millis(20),
         seed: cfg.seed,
         default_limits: symphony::Limits::default(),
-        trace: false,
         telemetry: false,
         telemetry_capacity: None,
-        causal: false,
         faults: symphony::FaultPlan::none(),
         tool_retry: None,
         breaker: None,

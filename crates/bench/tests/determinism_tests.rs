@@ -8,15 +8,18 @@
 //! RNG streams must not perturb fault-free runs.
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
+use symphony::{Kernel, KernelConfig, SimDuration, TimedEvent, ToolOutcome, ToolSpec};
 use symphony_workloads::ChatWorkload;
+
+/// One process record: (name, status_ok, output, syscalls, pred_tokens,
+/// tool_calls, latency_ns).
+type ProcRow = (String, bool, String, u64, u64, u64, Option<u64>);
 
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(Debug, PartialEq)]
 struct RunDigest {
-    trace_fingerprint: u64,
-    // (name, status_ok, output, syscalls, pred_tokens, tool_calls, latency_ns)
-    procs: Vec<(String, bool, String, u64, u64, u64, Option<u64>)>,
+    events: Vec<TimedEvent>,
+    procs: Vec<ProcRow>,
     gpu_ok: u64,
     gpu_new_tokens: u64,
     kv_cow_copies: u64,
@@ -24,7 +27,7 @@ struct RunDigest {
 
 fn digest(k: &Kernel) -> RunDigest {
     RunDigest {
-        trace_fingerprint: k.trace().fingerprint(),
+        events: k.telemetry_events().to_vec(),
         procs: k
             .records()
             .map(|r| {
@@ -45,12 +48,18 @@ fn digest(k: &Kernel) -> RunDigest {
     }
 }
 
+/// The test config with telemetry on, so a digest holds the event stream.
+fn config(seed: u64) -> KernelConfig {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.seed = seed;
+    cfg.telemetry = true;
+    cfg
+}
+
 /// The `exp_toolcalls` setup: an agent interleaving generation segments
 /// with server-side tool calls (E2's `server-lip` mode, scaled down).
 fn toolcalls_run(seed: u64) -> RunDigest {
-    let mut cfg = KernelConfig::for_tests();
-    cfg.seed = seed;
-    let mut k = Kernel::new(cfg);
+    let mut k = Kernel::new(config(seed));
     k.register_tool(
         "api",
         ToolSpec::new(SimDuration::from_millis(25), |args| {
@@ -84,9 +93,7 @@ fn toolcalls_run(seed: u64) -> RunDigest {
 /// The `exp_chat` setup: multi-round sessions with retained KV (E9's
 /// `retained` mode, scaled down), driven by the ChatWorkload generator.
 fn chat_run(seed: u64) -> RunDigest {
-    let mut cfg = KernelConfig::for_tests();
-    cfg.seed = seed;
-    let mut k = Kernel::new(cfg);
+    let mut k = Kernel::new(config(seed));
     let mut wl = ChatWorkload::new(4.0, SimDuration::from_millis(500), 40, 0xC4A7);
     for i in 0..4 {
         let session = wl.next_session();
@@ -137,10 +144,7 @@ fn exp_chat_setup_is_deterministic() {
 fn seed_changes_the_run() {
     // The guarantee is meaningful only if the seed actually steers the run:
     // tool latencies and LIP RNG streams derive from it.
-    assert_ne!(
-        toolcalls_run(1).trace_fingerprint,
-        toolcalls_run(2).trace_fingerprint
-    );
+    assert_ne!(toolcalls_run(1).events, toolcalls_run(2).events);
 }
 
 #[test]
@@ -149,7 +153,7 @@ fn error_paths_are_deterministic_too() {
     // exhausts a limit exits with the same typed error at the same virtual
     // time in both runs.
     fn run() -> RunDigest {
-        let mut k = Kernel::new(KernelConfig::for_tests());
+        let mut k = Kernel::new(config(KernelConfig::for_tests().seed));
         let limits = symphony::Limits {
             max_pred_tokens: Some(10),
             ..Default::default()

@@ -28,7 +28,6 @@ fn fleet_kernel(workers: usize, decode: usize, tool_ms: u64, seed: u64) -> Kerne
     let mut cfg = KernelConfig::for_tests();
     cfg.seed = seed;
     cfg.telemetry = true;
-    cfg.causal = true;
     let mut k = Kernel::new(cfg);
     k.register_tool(
         "search",
@@ -43,12 +42,10 @@ fn fleet_kernel(workers: usize, decode: usize, tool_ms: u64, seed: u64) -> Kerne
         let toks: Vec<(u32, u32)> =
             prompt.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
         let mut dist = ctx.pred(kv, &toks)?.pop().ok_or(SysError::BadArgument)?;
-        let mut pos = toks.len() as u32;
-        for _ in 0..n {
+        for pos in (toks.len() as u32..).take(n) {
             ctx.recv_msg()?;
             let tok = dist.argmax();
             dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
-            pos += 1;
         }
         ctx.kv_remove(kv)?;
         Ok(())

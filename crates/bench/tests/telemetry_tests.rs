@@ -14,13 +14,14 @@
 
 use symphony::sampling::{generate, GenOpts};
 use symphony::{
-    Collector, EventKind, Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec,
+    Collector, EventKind, Kernel, KernelConfig, MetricsSnapshot, SimDuration, ToolOutcome,
+    ToolSpec,
 };
 
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(Debug, PartialEq)]
 struct RunDigest {
-    trace_fingerprint: u64,
+    metrics: MetricsSnapshot,
     procs: Vec<(String, bool, String, u64, u64, Option<u64>)>,
     gpu_ok: u64,
     gpu_new_tokens: u64,
@@ -28,8 +29,12 @@ struct RunDigest {
 }
 
 fn digest(k: &Kernel) -> RunDigest {
+    let mut metrics = k.metrics_snapshot();
+    // `sim.events_per_sec` is a wall-clock throughput gauge, deliberately
+    // outside the determinism contract.
+    metrics.entries.retain(|(name, _)| name != "sim.events_per_sec");
     RunDigest {
-        trace_fingerprint: k.trace().fingerprint(),
+        metrics,
         procs: k
             .records()
             .map(|r| {
@@ -183,22 +188,8 @@ fn disabled_telemetry_is_zero_cost_and_changes_nothing() {
     assert_eq!(off.telemetry_constructed(), 0, "disabled bus constructed events");
     assert!(off.telemetry_events().is_empty());
     assert!(on.telemetry_constructed() > 0);
-    // And observing changed nothing the kernel computes.
+    // And observing changed nothing the kernel computes, metrics included.
     assert_eq!(digest(&off), digest(&on), "telemetry must be observation-only");
-    // `sim.events_per_sec` is a wall-clock throughput gauge, deliberately
-    // outside the determinism contract — drop it before comparing.
-    let strip_wall = |json: String| -> String {
-        let key = "\"sim.events_per_sec\":";
-        let Some(start) = json.find(key) else { return json };
-        let end = json[start..].find('}').map(|i| start + i + 1).unwrap_or(json.len());
-        let end = if json[end..].starts_with(',') { end + 1 } else { end };
-        format!("{}{}", &json[..start], &json[end..])
-    };
-    assert_eq!(
-        strip_wall(off.metrics_snapshot().to_json()),
-        strip_wall(on.metrics_snapshot().to_json()),
-        "metrics must not depend on event recording"
-    );
 }
 
 #[test]

@@ -7,7 +7,14 @@
 //! delivers one reply, then blocks until *that* thread's next syscall (or
 //! exit) arrives before touching anything else. Combined with the virtual
 //! clock and seeded RNG streams, a whole serving run replays bit-identically
-//! — the integration tests compare trace fingerprints across runs.
+//! — the integration tests compare the recorded telemetry event streams of
+//! same-seed runs for equality.
+//!
+//! # Events
+//!
+//! The telemetry bus is the kernel's only event record. With
+//! [`KernelConfig::telemetry`] on it records every event, causal edges
+//! included; with it off no event is constructed at all.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -20,7 +27,7 @@ use symphony_kvfs::{
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Surrogate, TokenId};
-use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime, Trace};
+use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, percent_bounds,
     Collector, Counter, EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry,
@@ -89,18 +96,12 @@ pub struct KernelConfig {
     pub seed: u64,
     /// Default per-process limits.
     pub default_limits: Limits,
-    /// Record a structured trace (disable for long benchmark runs).
-    pub trace: bool,
-    /// Record typed telemetry events for Chrome-trace export. When `false`
-    /// (the default) the event bus is a no-op: no event is ever constructed.
+    /// Record typed telemetry events, causal edges (spawn/IPC/join/tool/
+    /// preempt, per-batch pred executions, replay hits) included, so the
+    /// stream exports to Chrome traces and rebuilds into per-program span
+    /// DAGs (`symphony_telemetry::TraceForest`). When `false` (the default)
+    /// the event bus is a no-op: no event is ever constructed.
     pub telemetry: bool,
-    /// Additionally record *causal* events (spawn/IPC/join/tool/preempt
-    /// edges, per-batch pred executions, replay hits) so the event stream
-    /// reconstructs into per-program span DAGs
-    /// (`symphony_telemetry::TraceForest`). Off by default: traces recorded
-    /// without it stay byte-identical to the pre-causal format. Only
-    /// meaningful together with `telemetry`.
-    pub causal: bool,
     /// Cap on events retained by the telemetry bus; beyond it, emissions
     /// are dropped and counted under `telemetry.events_dropped`. `None`
     /// (the default) keeps everything.
@@ -144,9 +145,7 @@ impl KernelConfig {
             offload_min_latency: SimDuration::from_millis(10),
             seed: 42,
             default_limits: Limits::default(),
-            trace: true,
             telemetry: false,
-            causal: false,
             telemetry_capacity: None,
             faults: FaultPlan::none(),
             tool_retry: None,
@@ -179,9 +178,7 @@ impl KernelConfig {
             offload_min_latency: SimDuration::from_millis(20),
             seed: 42,
             default_limits: Limits::default(),
-            trace: false,
             telemetry: false,
-            causal: false,
             telemetry_capacity: None,
             faults: FaultPlan::none(),
             tool_retry: None,
@@ -430,7 +427,6 @@ pub struct Kernel {
     up_tx: Sender<UpCall>,
     up_rx: Receiver<UpCall>,
     rng: Rng,
-    trace: Trace,
     // Telemetry.
     registry: MetricsRegistry,
     bus: EventBus,
@@ -442,7 +438,6 @@ pub struct Kernel {
     tool_retry: Option<RetryPolicy>,
     res_counters: ResilienceCounters,
     // Config extracts.
-    causal: bool,
     syscall_cost: SimDuration,
     offload_on_io_wait: bool,
     offload_min_latency: SimDuration,
@@ -608,11 +603,6 @@ impl Kernel {
             up_tx,
             up_rx,
             rng: Rng::new(config.seed),
-            trace: if config.trace {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
             bus: {
                 // The drop counter registers unconditionally so metrics
                 // snapshots are identical with telemetry on or off.
@@ -635,7 +625,6 @@ impl Kernel {
             tool_retry: config.tool_retry,
             res_counters: ResilienceCounters::register(&registry),
             registry,
-            causal: config.causal,
             syscall_cost: config.syscall_cost,
             offload_on_io_wait: config.offload_on_io_wait,
             offload_min_latency: config.offload_min_latency,
@@ -1026,11 +1015,6 @@ impl Kernel {
                 limits,
             });
         }
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("spawn pid={} tid={}", pid.0, tid.0),
-        );
     }
 
     fn spawn_thread(&mut self, pid: Pid, args: String, f: LipFn) -> Tid {
@@ -1174,11 +1158,6 @@ impl Kernel {
             resumed: resumed_u,
             replayed_frames: frames,
         });
-        self.trace.record_with(
-            at,
-            "kernel",
-            || format!("recovered resumed={resumed} finished={finished} lost={lost}"),
-        );
         RecoveryReport {
             resumed,
             finished,
@@ -1407,8 +1386,6 @@ impl Kernel {
         let at = self.events.now();
         self.bus
             .emit(at, move || EventKind::KernelCrash { boundary });
-        self.trace
-            .record_with(at, "kernel", || format!("crash at boundary {boundary}"));
         if let Some(w) = self.wal.as_mut() {
             w.pred_buf.clear();
             w.buffered_frames = 0;
@@ -1579,8 +1556,8 @@ impl Kernel {
     }
 
     /// Like [`Kernel::export_chrome_trace`], but renders the causal events
-    /// recorded under [`KernelConfig::causal`] as Perfetto flow arrows
-    /// (spawn, IPC, join, tool and preemption edges across tracks).
+    /// as Perfetto flow arrows (spawn, IPC, join, tool and preemption edges
+    /// across tracks).
     pub fn export_chrome_trace_with_flows(&self) -> String {
         export_chrome_trace_with_flows(self.bus.events())
     }
@@ -1599,11 +1576,6 @@ impl Kernel {
     /// Admin access to the KV store for setup/inspection.
     pub fn store_mut(&mut self) -> &mut KvStore {
         &mut self.store
-    }
-
-    /// The run trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// LIP threads that are still alive (blocked or runnable).
@@ -1717,11 +1689,6 @@ impl Kernel {
                 };
                 let now = self.events.now();
                 self.bus.emit(now, || EventKind::BatchEnd { id: batch_id });
-                self.trace.record_with(
-                    now,
-                    "infer_sched",
-                    || format!("batch_done id={batch_id} n={}", results.len()),
-                );
                 for (tid, reply) in results {
                     // Token-latency metrics: a delivered distribution is a
                     // decoded token from the process's point of view.
@@ -1803,11 +1770,6 @@ impl Kernel {
         }
         proc.cancelled = true;
         let waiters = std::mem::take(&mut proc.recv_waiters);
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("cancel pid={} woke={}", pid.0, waiters.len()),
-        );
         for (w, _seq) in waiters {
             self.complete(w, SysReply::Err(SysError::Cancelled));
         }
@@ -1839,11 +1801,6 @@ impl Kernel {
             let at = self.events.now();
             self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
         }
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("deadline pid={} woke={}", pid.0, waiters.len()),
-        );
         for (w, _seq) in waiters {
             self.complete(w, SysReply::Err(SysError::DeadlineExceeded));
         }
@@ -1911,19 +1868,17 @@ impl Kernel {
             occupancy_pct,
             new_tokens,
         });
-        if self.causal {
-            // One scheduler→GPU hop per member: which pooled pred executes
-            // in this batch, and how long it queued. Batched emission —
-            // one reserve and one capacity check for the whole iteration.
-            self.bus
-                .emit_batch(now, requests.len(), |k| EventKind::PredExec {
-                    pid: metas[k].0 .0,
-                    tid: tids[k].0,
-                    batch: batch_id,
-                    tokens: requests[k].tokens.len() as u32,
-                    enqueued_at: enqueued[k],
-                });
-        }
+        // One scheduler→GPU hop per member: which pooled pred executes
+        // in this batch, and how long it queued. Batched emission —
+        // one reserve and one capacity check for the whole iteration.
+        self.bus
+            .emit_batch(now, requests.len(), |k| EventKind::PredExec {
+                pid: metas[k].0 .0,
+                tid: tids[k].0,
+                batch: batch_id,
+                tokens: requests[k].tokens.len() as u32,
+                enqueued_at: enqueued[k],
+            });
         let cow_delta = self.store.stats().cow_copies - cow_before;
         if cow_delta > 0 {
             self.bus
@@ -2001,14 +1956,6 @@ impl Kernel {
             };
             replies.push((tid, reply));
         }
-        self.trace.record_with(
-            self.events.now(),
-            "infer_sched",
-            || format!(
-                "batch_launch id={batch_id} n={} new_tokens={} dur={}",
-                report.requests, report.new_tokens, report.duration
-            ),
-        );
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
         self.events.schedule(
@@ -2187,18 +2134,16 @@ impl Kernel {
                             tokens: moved.total() as u64,
                             victim_tid: vtid.0,
                         });
-                        if self.causal {
-                            // Swap dependency: the victim's eviction funds
-                            // this sequence's swap-in.
-                            self.bus.emit(now, || EventKind::CausalEdge {
-                                edge: EdgeKind::Preempt,
-                                src_pid: vpid.0,
-                                src_tid: vtid.0,
-                                src_at: now,
-                                dst_pid: spid.0,
-                                dst_tid: stid.0,
-                            });
-                        }
+                        // Swap dependency: the victim's eviction funds
+                        // this sequence's swap-in.
+                        self.bus.emit(now, || EventKind::CausalEdge {
+                            edge: EdgeKind::Preempt,
+                            src_pid: vpid.0,
+                            src_tid: vtid.0,
+                            src_at: now,
+                            dst_pid: spid.0,
+                            dst_tid: stid.0,
+                        });
                         preempted.push(j);
                     }
                     Err(_) => break,
@@ -2272,22 +2217,20 @@ impl Kernel {
             occupancy_pct,
             new_tokens,
         });
-        if self.causal {
-            // One scheduler→GPU hop per iteration member (chunked prefills
-            // hop once per chunk, which is exactly their service pattern).
-            // Batched: one reserve/capacity check for the whole iteration.
-            let active = &self.active;
-            self.bus.emit_batch(now, parts.len(), |k| {
-                let s = &active[parts[k]];
-                EventKind::PredExec {
-                    pid: s.pid.0,
-                    tid: s.tid.0,
-                    batch: batch_id,
-                    tokens: requests[k].tokens.len() as u32,
-                    enqueued_at: s.enqueued_at,
-                }
-            });
-        }
+        // One scheduler→GPU hop per iteration member (chunked prefills
+        // hop once per chunk, which is exactly their service pattern).
+        // Batched: one reserve/capacity check for the whole iteration.
+        let active = &self.active;
+        self.bus.emit_batch(now, parts.len(), |k| {
+            let s = &active[parts[k]];
+            EventKind::PredExec {
+                pid: s.pid.0,
+                tid: s.tid.0,
+                batch: batch_id,
+                tokens: requests[k].tokens.len() as u32,
+                enqueued_at: s.enqueued_at,
+            }
+        });
         let cow_delta = self.store.stats().cow_copies - cow_before;
         if cow_delta > 0 {
             self.bus
@@ -2482,14 +2425,6 @@ impl Kernel {
             .disk_pages_used
             .set(self.store.disk_pages_used() as i64);
         let duration = swap_extra + report.duration;
-        self.trace.record_with(
-            now,
-            "infer_sched",
-            || format!(
-                "iter_launch id={batch_id} n={} new_tokens={} dur={duration}",
-                report.requests, report.new_tokens
-            ),
-        );
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
         self.events
@@ -2505,16 +2440,14 @@ impl Kernel {
     }
 
     /// Marks a syscall answered from the WAL effect journal during recovery
-    /// replay (causal mode only) — the recovery-replay phase bucket.
+    /// replay — the recovery-replay phase bucket.
     fn note_replay_hit(&mut self, pid: Pid, tid: Tid, sys: &'static str) {
-        if self.causal {
-            let at = self.events.now();
-            self.bus.emit(at, || EventKind::ReplayAnswered {
-                pid: pid.0,
-                tid: tid.0,
-                sys,
-            });
-        }
+        let at = self.events.now();
+        self.bus.emit(at, || EventKind::ReplayAnswered {
+            pid: pid.0,
+            tid: tid.0,
+            sys,
+        });
     }
 
     fn owner_of(&self, tid: Tid) -> Option<(Pid, OwnerId)> {
@@ -2633,11 +2566,6 @@ impl Kernel {
                         return;
                     }
                 }
-                self.trace.record_with(
-                    self.events.now(),
-                    "kernel",
-                    || format!("pred tid={} n={}", tid.0, tokens.len()),
-                );
                 let n_tokens = tokens.len() as u32;
                 let pool = self.pred_queue_len() as u32;
                 self.bus.emit(sys_at, || EventKind::PredEnqueue {
@@ -2848,16 +2776,14 @@ impl Kernel {
                 // Sibling threads inherit the process's args string.
                 let args = self.procs[pid.0].args.clone();
                 let new_tid = self.spawn_thread(pid, args, f);
-                if self.causal {
-                    self.bus.emit(sys_at, || EventKind::CausalEdge {
-                        edge: EdgeKind::Spawn,
-                        src_pid: pid.0,
-                        src_tid: tid.0,
-                        src_at: sys_at,
-                        dst_pid: pid.0,
-                        dst_tid: new_tid.0,
-                    });
-                }
+                self.bus.emit(sys_at, || EventKind::CausalEdge {
+                    edge: EdgeKind::Spawn,
+                    src_pid: pid.0,
+                    src_tid: tid.0,
+                    src_at: sys_at,
+                    dst_pid: pid.0,
+                    dst_tid: new_tid.0,
+                });
                 self.complete(tid, SysReply::NewTid(new_tid));
             }
             Syscall::Join { tid: target } => match self.threads.get_mut(target.0) {
@@ -2916,11 +2842,6 @@ impl Kernel {
                                 );
                             }
                         }
-                        self.trace.record_with(
-                            now,
-                            "io",
-                            || format!("tool={} tid={} replayed", name, tid.0),
-                        );
                         let reply = match rec.result {
                             Ok(s) => SysReply::Text(s),
                             Err(e) => SysReply::Err(e),
@@ -2936,11 +2857,6 @@ impl Kernel {
                     match bank.admit(&name, now) {
                         BreakerVerdict::Allow | BreakerVerdict::AllowTrial => {}
                         BreakerVerdict::Reject => {
-                            self.trace.record_with(
-                                now,
-                                "io",
-                                || format!("tool={} tid={} breaker_open", name, tid.0),
-                            );
                             if self.bus.is_enabled() {
                                 let tool = name.clone();
                                 self.bus.emit(now, || EventKind::BreakerReject {
@@ -3040,17 +2956,6 @@ impl Kernel {
                         self.bus.emit(now, || EventKind::BreakerTrip { tool });
                     }
                 }
-                self.trace.record_with(
-                    now,
-                    "io",
-                    || format!(
-                        "tool={} tid={} attempts={} latency={}",
-                        name,
-                        tid.0,
-                        failures + u32::from(final_result.is_ok()),
-                        total
-                    ),
-                );
                 self.kmetrics.tool_latency_ns.observe(total.as_nanos());
                 if self.bus.is_enabled() {
                     let tool = name.clone();
@@ -3142,11 +3047,6 @@ impl Kernel {
                 // resilient LIPs need acks/timeouts, which the chaos tests
                 // exercise.
                 if self.injector.ipc_send() {
-                    self.trace.record_with(
-                        self.events.now(),
-                        "kernel",
-                        || format!("ipc_drop from={} to={}", pid.0, to.0),
-                    );
                     self.bus.emit(sys_at, || EventKind::IpcDrop {
                         from: pid.0,
                         to: to.0,
@@ -3196,17 +3096,15 @@ impl Kernel {
                             data: data.clone(),
                         });
                     }
-                    if self.causal {
-                        // Direct delivery: this send wakes the parked recv.
-                        self.bus.emit(sys_at, || EventKind::CausalEdge {
-                            edge: EdgeKind::Ipc,
-                            src_pid: pid.0,
-                            src_tid: tid.0,
-                            src_at: sys_at,
-                            dst_pid: to.0,
-                            dst_tid: wtid.0,
-                        });
-                    }
+                    // Direct delivery: this send wakes the parked recv.
+                    self.bus.emit(sys_at, || EventKind::CausalEdge {
+                        edge: EdgeKind::Ipc,
+                        src_pid: pid.0,
+                        src_tid: tid.0,
+                        src_at: sys_at,
+                        dst_pid: to.0,
+                        dst_tid: wtid.0,
+                    });
                     self.complete(wtid, SysReply::Msg { from: pid, data });
                 }
                 self.complete(tid, SysReply::Unit);
@@ -3256,7 +3154,7 @@ impl Kernel {
                             data: data.clone(),
                         });
                     }
-                    if self.causal && sender_tid != 0 {
+                    if sender_tid != 0 {
                         // Mailbox hit: the buffered send (at `sent_at`) is
                         // what answers this recv.
                         self.bus.emit(sys_at, || EventKind::CausalEdge {
@@ -3413,8 +3311,6 @@ impl Kernel {
                     pid: pid.0,
                     file: f.0,
                 });
-                self.trace
-                    .record_with(at, "io", || format!("offload pid={} file={}", pid.0, f.0));
             }
         }
     }
@@ -3424,19 +3320,17 @@ impl Kernel {
             return;
         };
         let pid = ts.pid;
-        if self.causal {
-            // Tool edge: the call issued at `issued_at` is what lets this
-            // thread resume now.
-            let at = self.events.now();
-            self.bus.emit(at, || EventKind::CausalEdge {
-                edge: EdgeKind::Tool,
-                src_pid: pid.0,
-                src_tid: tid.0,
-                src_at: issued_at,
-                dst_pid: pid.0,
-                dst_tid: tid.0,
-            });
-        }
+        // Tool edge: the call issued at `issued_at` is what lets this
+        // thread resume now.
+        let at = self.events.now();
+        self.bus.emit(at, || EventKind::CausalEdge {
+            edge: EdgeKind::Tool,
+            src_pid: pid.0,
+            src_tid: tid.0,
+            src_at: issued_at,
+            dst_pid: pid.0,
+            dst_tid: tid.0,
+        });
         // A missing process record still must not swallow the reply: skip
         // the offload bookkeeping but deliver the result to the thread.
         let Some(proc) = self.procs.get_mut(pid.0) else {
@@ -3473,11 +3367,6 @@ impl Kernel {
                     let at = self.events.now();
                     self.bus
                         .emit(at, || EventKind::FaultInjected { site: "kv.restore" });
-                    self.trace.record_with(
-                        at,
-                        "io",
-                        || format!("restore_fault pid={} file={}", pid.0, f.0),
-                    );
                     continue;
                 }
                 if let Ok(moved) = self.store.swap_in(f, owner) {
@@ -3500,11 +3389,6 @@ impl Kernel {
                 pid: pid.0,
                 tokens: restore_tokens as u64,
             });
-            self.trace.record_with(
-                at,
-                "io",
-                || format!("restore pid={} tokens={restore_tokens}", pid.0),
-            );
             self.events
                 .schedule(self.events.now() + cost, Event::Resume(tid, reply));
         } else {
@@ -3534,19 +3418,17 @@ impl Kernel {
             h.join();
         }
         for w in waiters {
-            if self.causal {
-                // Join edge: this thread's exit unblocks the joiner.
-                let at = self.events.now();
-                let dst_pid = self.threads.get(w.0).map(|t| t.pid.0).unwrap_or(pid.0);
-                self.bus.emit(at, || EventKind::CausalEdge {
-                    edge: EdgeKind::Join,
-                    src_pid: pid.0,
-                    src_tid: tid.0,
-                    src_at: at,
-                    dst_pid,
-                    dst_tid: w.0,
-                });
-            }
+            // Join edge: this thread's exit unblocks the joiner.
+            let at = self.events.now();
+            let threads = &self.threads;
+            self.bus.emit(at, || EventKind::CausalEdge {
+                edge: EdgeKind::Join,
+                src_pid: pid.0,
+                src_tid: tid.0,
+                src_at: at,
+                dst_pid: threads.get(w.0).map_or(pid.0, |t| t.pid.0),
+                dst_tid: w.0,
+            });
             self.complete(w, SysReply::Joined(status.clone()));
         }
         let Some(proc) = self.procs.get_mut(pid.0) else {
@@ -3568,11 +3450,6 @@ impl Kernel {
             tid: tid.0,
             ok,
         });
-        self.trace.record_with(
-            at,
-            "kernel",
-            || format!("exit tid={} pid={} ok={}", tid.0, pid.0, status.is_ok()),
-        );
         if process_done {
             self.finalize_process(pid);
         }
@@ -3636,8 +3513,6 @@ impl Kernel {
                 usage,
             });
         }
-        self.trace
-            .record_with(now, "kernel", || format!("reap pid={}", pid.0));
     }
 }
 

@@ -116,7 +116,7 @@ mod tests {
     fn stochastic_low_draw_accepts_marginal_token() {
         // ratio = p_t/p_d = 0.1/0.5 = 0.2; draw 0.1 accepts, draw 0.3 rejects.
         let prior = dist_peaked(10); // p(11) = 0.1
-        let after = vec![dist_peaked(20)];
+        let after = [dist_peaked(20)];
         let (n1, _) = verify_stochastic(&[11], &[0.5], &prior, &after[..1], &[0.1]);
         assert_eq!(n1, 1);
         let (n2, _) = verify_stochastic(&[11], &[0.5], &prior, &after[..1], &[0.3]);

@@ -1392,7 +1392,7 @@ mod tests {
         assert!(r.procs[&1].exit.is_some());
         assert!(r.tools.contains_key(&(1, 0)));
         assert!(matches!(r.tools[&(1, 1)].result, Err(SysError::Timeout)));
-        assert_eq!(r.send_results[&(1, 0)], true);
+        assert!(r.send_results[&(1, 0)]);
         assert_eq!(r.sends.len(), 1);
         assert_eq!(r.recvs[&(2, 0)], (1, "hello".into()));
         assert_eq!(r.lookups[&(1, 0)], Some(2));

@@ -6,9 +6,9 @@
 //!    process) with a *typed* [`SysError`]; siblings keep running and no
 //!    panic escapes a LIP.
 //! 2. **Determinism** — two kernels with identical seeds and fault plans
-//!    produce byte-identical outputs, trace fingerprints and stats, and an
-//!    all-zero plan is byte-identical to the resilience machinery being
-//!    switched off entirely.
+//!    produce byte-identical outputs, telemetry event streams and stats,
+//!    and an all-zero plan is byte-identical to the resilience machinery
+//!    being switched off entirely.
 //! 3. **Exact accounting** — a retried tool call occupies exactly the sum
 //!    of its per-attempt charges plus backoff delays on the virtual clock.
 
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use symphony::{
     AdmissionPolicy, BreakerPolicy, ExitStatus, FaultPlan, Kernel, KernelConfig, Limits,
-    RetryPolicy, SimDuration, SysError, ToolOutcome, ToolSpec,
+    RetryPolicy, SimDuration, SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
 
 // ---- exact virtual-time accounting -----------------------------------------
@@ -300,9 +300,8 @@ fn pred_faults_are_contained_and_retryable() {
     // run is seeded, so "overwhelming" means "always, for this seed").
     let tough = k.spawn_process("tough", "", |ctx| {
         let kv = ctx.kv_create()?;
-        let mut pos = 0u32;
-        for i in 0..60u32 {
-            let tok = (i % 50) + 1;
+        for pos in 0..60u32 {
+            let tok = (pos % 50) + 1;
             let mut tries = 0;
             loop {
                 match ctx.pred(kv, &[(tok, pos)]) {
@@ -314,7 +313,6 @@ fn pred_faults_are_contained_and_retryable() {
                     Err(e) => return Err(e),
                 }
             }
-            pos += 1;
         }
         assert_eq!(ctx.kv_len(kv)?, 60, "every token eventually landed");
         Ok(())
@@ -402,9 +400,10 @@ fn unprotected_process_fails_typed_while_siblings_survive() {
 
 /// A mixed workload exercising preds, tool calls with retries, swaps and
 /// IPC under an aggressive fault plan. Returns everything observable.
-fn chaos_run(seed: u64) -> (u64, Vec<(String, String, bool)>, String) {
+fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String) {
     let mut cfg = KernelConfig::for_tests();
     cfg.seed = seed;
+    cfg.telemetry = true;
     cfg.faults = FaultPlan {
         tool_fault_rate: 0.15,
         tool_hang_fraction: 0.3,
@@ -471,14 +470,14 @@ fn chaos_run(seed: u64) -> (u64, Vec<(String, String, bool)>, String) {
         k.gpu_metrics().requests_faulted,
         k.gpu_metrics().requests_ok,
     );
-    (k.trace().fingerprint(), procs, summary)
+    (k.telemetry_events().to_vec(), procs, summary)
 }
 
 #[test]
 fn chaos_same_seed_runs_are_byte_identical() {
-    let (fp1, procs1, stats1) = chaos_run(0xC4A05);
-    let (fp2, procs2, stats2) = chaos_run(0xC4A05);
-    assert_eq!(fp1, fp2, "trace fingerprints diverged");
+    let (ev1, procs1, stats1) = chaos_run(0xC4A05);
+    let (ev2, procs2, stats2) = chaos_run(0xC4A05);
+    assert_eq!(ev1, ev2, "event streams diverged");
     assert_eq!(procs1, procs2, "per-process outputs diverged");
     assert_eq!(stats1, stats2, "stats diverged");
     // The chaos actually happened (tool faults fired) and was recorded.
@@ -498,15 +497,16 @@ fn chaos_run_contains_all_failures() {
 
 #[test]
 fn different_seeds_diverge() {
-    let (fp1, ..) = chaos_run(1);
-    let (fp2, ..) = chaos_run(2);
-    assert_ne!(fp1, fp2, "fault schedule must depend on the seed");
+    let (ev1, ..) = chaos_run(1);
+    let (ev2, ..) = chaos_run(2);
+    assert_ne!(ev1, ev2, "fault schedule must depend on the seed");
 }
 
 #[test]
 fn zero_rate_plan_is_identical_to_machinery_off() {
-    fn run(resilience_on: bool) -> (u64, Vec<String>) {
+    fn run(resilience_on: bool) -> (Vec<TimedEvent>, Vec<String>) {
         let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
         if resilience_on {
             // Machinery armed, but nothing ever fails or queues deep
             // enough to engage it: must be byte-identical to off.
@@ -539,7 +539,7 @@ fn zero_rate_plan_is_identical_to_machinery_off() {
         }
         k.run();
         (
-            k.trace().fingerprint(),
+            k.telemetry_events().to_vec(),
             k.records().map(|r| r.output.clone()).collect(),
         )
     }

@@ -5,7 +5,7 @@
 use symphony::sampling::{self, GenOpts};
 use symphony::{
     ContinuousConfig, ExecMode, Kernel, KernelConfig, MlfqConfig, Pid, QueueDiscipline,
-    SimDuration,
+    SimDuration, TimedEvent,
 };
 
 fn continuous(chunk: Option<usize>, discipline: QueueDiscipline) -> ExecMode {
@@ -82,20 +82,21 @@ fn continuous_modes_agree_with_static_outputs() {
 
 #[test]
 fn continuous_mode_is_deterministic() {
-    fn once(chunk: Option<usize>, discipline: QueueDiscipline) -> (u64, Vec<String>) {
+    fn once(chunk: Option<usize>, discipline: QueueDiscipline) -> (Vec<TimedEvent>, Vec<String>) {
         let mut cfg = KernelConfig::for_tests();
         cfg.exec = continuous(chunk, discipline);
+        cfg.telemetry = true;
         let (k, pids) = run_workload(cfg);
         let out = outputs(&k, &pids);
-        (k.trace().fingerprint(), out)
+        (k.telemetry_events().to_vec(), out)
     }
     for discipline in [
         QueueDiscipline::Fifo,
         QueueDiscipline::Mlfq(MlfqConfig::default()),
     ] {
-        let (fp1, out1) = once(Some(8), discipline);
-        let (fp2, out2) = once(Some(8), discipline);
-        assert_eq!(fp1, fp2, "trace fingerprints differ ({discipline:?})");
+        let (ev1, out1) = once(Some(8), discipline);
+        let (ev2, out2) = once(Some(8), discipline);
+        assert_eq!(ev1, ev2, "event streams differ ({discipline:?})");
         assert_eq!(out1, out2);
     }
 }

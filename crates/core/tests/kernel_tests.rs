@@ -3,7 +3,7 @@
 
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
-    BatchPolicy, ExitStatus, Kernel, KernelConfig, Limits, Mode, SimDuration, SysError,
+    BatchPolicy, ExitStatus, Kernel, KernelConfig, Limits, Mode, SimDuration, SysError, TimedEvent,
     ToolOutcome, ToolSpec,
 };
 
@@ -55,8 +55,10 @@ fn generation_advances_virtual_time() {
 
 #[test]
 fn deterministic_across_runs() {
-    fn run_once() -> (u64, String) {
-        let mut k = kernel();
+    fn run_once() -> (Vec<TimedEvent>, String) {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        let mut k = Kernel::new(cfg);
         let mut pids = Vec::new();
         for i in 0..4 {
             let args = format!("request number {i}");
@@ -81,11 +83,12 @@ fn deterministic_across_runs() {
             .iter()
             .map(|&p| k.record(p).unwrap().output.clone())
             .collect();
-        (k.trace().fingerprint(), outputs)
+        (k.telemetry_events().to_vec(), outputs)
     }
-    let (fp1, out1) = run_once();
-    let (fp2, out2) = run_once();
-    assert_eq!(fp1, fp2, "trace fingerprints must match across runs");
+    let (ev1, out1) = run_once();
+    let (ev2, out2) = run_once();
+    assert!(!ev1.is_empty());
+    assert_eq!(ev1, ev2, "event streams must match across runs");
     assert_eq!(out1, out2);
 }
 
@@ -200,7 +203,7 @@ fn fork_cow_shares_pages_across_branches() {
     // Only the pinned prefix remains.
     assert_eq!(k.store().gpu_pages_used(), pages_before);
     // COW happened (the prefix tail page was partial and got copied).
-    assert!(k.kv_stats().cow_copies > 0 || n % 4 == 0);
+    assert!(k.kv_stats().cow_copies > 0 || n.is_multiple_of(4));
 }
 
 #[test]
@@ -584,18 +587,10 @@ fn speculative_decoding_with_truncate() {
         let mut pos = prompt.len() as u32;
         let mut produced = 0usize;
         while produced < 24 {
-            // Draft 4 tokens greedily from a temperature-sharpened view
-            // (stands in for a cheap draft model with identical semantics).
-            let mut draft = Vec::new();
-            let mut d = dist.clone();
-            for _ in 0..4 {
-                let t = d.with_temperature(1.3).argmax();
-                draft.push(t);
-                // Draft model peeks ahead by sampling its own chain; the
-                // target will verify below.
-                d = d.top_k(1); // placeholder: draft chain ends here
-                break;
-            }
+            // Draft one token greedily from a temperature-sharpened view
+            // (stands in for a cheap draft model with identical semantics);
+            // the target verifies it below.
+            let draft = [dist.with_temperature(1.3).argmax()];
             let pairs: Vec<(u32, u32)> = draft
                 .iter()
                 .enumerate()

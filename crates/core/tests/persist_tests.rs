@@ -3,7 +3,7 @@
 //! recovery under fault injection.
 
 use symphony::sampling::{self, GenOpts};
-use symphony::{FaultPlan, Kernel, KernelConfig, Mode};
+use symphony::{FaultPlan, Kernel, KernelConfig, Mode, TimedEvent};
 use symphony_kvfs::KvError;
 
 /// Unique-per-process temp path so parallel test runs don't collide.
@@ -21,7 +21,7 @@ fn preload(k: &mut Kernel) -> usize {
 
 /// The same RAG-style workload run against either kernel: fork the shared
 /// prefix, generate a short answer, drop the fork.
-fn rag_workload(k: &mut Kernel) -> (String, u64) {
+fn rag_workload(k: &mut Kernel) -> (String, Vec<TimedEvent>) {
     let mut pids = Vec::new();
     for i in 0..3 {
         let args = format!("question number {i}");
@@ -38,7 +38,7 @@ fn rag_workload(k: &mut Kernel) -> (String, u64) {
     for &p in &pids {
         assert!(k.record(p).unwrap().status.is_ok());
     }
-    (k.export_chrome_trace(), k.trace().fingerprint())
+    (k.export_chrome_trace(), k.telemetry_events().to_vec())
 }
 
 #[test]
@@ -100,10 +100,10 @@ fn restored_kernel_matches_fresh_kernel_trace() {
     let mut warm = Kernel::new(warm_cfg);
     assert!(warm.restored().is_some());
 
-    let (fresh_trace, fresh_fp) = rag_workload(&mut fresh);
-    let (warm_trace, warm_fp) = rag_workload(&mut warm);
+    let (fresh_trace, fresh_events) = rag_workload(&mut fresh);
+    let (warm_trace, warm_events) = rag_workload(&mut warm);
     assert_eq!(fresh_trace, warm_trace, "chrome traces must be byte-identical");
-    assert_eq!(fresh_fp, warm_fp, "trace fingerprints must match");
+    assert_eq!(fresh_events, warm_events, "event streams must match");
     std::fs::remove_file(&path).ok();
 }
 

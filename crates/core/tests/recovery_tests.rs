@@ -230,11 +230,13 @@ fn recovery_is_deterministic() {
             k.run();
             assert_eq!(k.crashed(), Some(17));
         }
-        let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
+        let mut cfg = config(&path, None);
+        cfg.telemetry = true;
+        let (mut k, _) = Kernel::recover(cfg).unwrap();
         k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
         k.resume_programs(resolver);
         k.run();
-        let out = (outcomes(&k), k.trace().fingerprint());
+        let out = (outcomes(&k), k.telemetry_events().to_vec());
         std::fs::remove_file(&path).ok();
         out
     };

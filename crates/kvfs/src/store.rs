@@ -1912,7 +1912,8 @@ mod tests {
         assert_eq!(got, want);
         // Positions are preserved (discontiguous layout).
         assert_eq!(got[2].position, 6);
-        assert_eq!(s.extract(f, U1, &[4..20]), Err(KvError::BadRange));
+        let past_end = 4..20;
+        assert_eq!(s.extract(f, U1, &[past_end]), Err(KvError::BadRange));
         assert_eq!(s.extract(f, U1, &[]), Err(KvError::EmptyInput));
         s.verify().unwrap();
     }

@@ -120,7 +120,8 @@ proptest! {
                             std::mem::swap(&mut lo, &mut hi);
                         }
                         if lo < hi {
-                            let g = store.extract(f, owner, &[lo..hi]).unwrap();
+                            let range = lo..hi;
+                            let g = store.extract(f, owner, &[range]).unwrap();
                             model.insert(g.0, model[&f.0][lo..hi].to_vec());
                         }
                     }

@@ -285,10 +285,10 @@ fn check_span_pairs(path: &str, lines: &Lines) -> Vec<Violation> {
     for (ident, &line) in &idents {
         let want = if let Some(stem) = ident.strip_suffix("Enter") {
             Some((format!("{stem}Exit"), "Exit"))
-        } else if let Some(stem) = ident.strip_suffix("Begin") {
-            Some((format!("{stem}End"), "End"))
         } else {
-            None
+            ident
+                .strip_suffix("Begin")
+                .map(|stem| (format!("{stem}End"), "End"))
         };
         if let Some((twin, kind)) = want {
             if !idents.contains_key(&twin) {

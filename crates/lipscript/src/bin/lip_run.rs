@@ -10,7 +10,8 @@
 //! Programs are parsed and verified before execution — the same admission
 //! check the serving door applies — and diagnostics print in compiler
 //! style (`file:line:col: message`). `--no-verify` skips the verifier and
-//! lets the interpreter fault at runtime instead.
+//! lets the interpreter fault at runtime instead. `--trace` records the
+//! kernel's telemetry events and prints them to stderr, one per line.
 //!
 //! Exit code 0 on clean completion, 1 on program failure, 2 on usage error.
 
@@ -92,7 +93,7 @@ fn main() {
     }
 
     let mut cfg = KernelConfig::for_tests();
-    cfg.trace = trace;
+    cfg.telemetry = trace;
     let mut kernel = Kernel::new(cfg);
 
     // A small standard environment so sample programs have something to
@@ -142,7 +143,9 @@ fn main() {
         rec.usage.emitted_tokens,
     );
     if trace {
-        eprint!("{}", kernel.trace().render());
+        for e in kernel.telemetry_events() {
+            eprintln!("[{}] {:?}", e.at, e.kind);
+        }
     }
     if !rec.status.is_ok() {
         eprintln!("-- status: {:?}", rec.status);

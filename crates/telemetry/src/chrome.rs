@@ -185,10 +185,9 @@ fn quoted(s: &str) -> String {
 /// The output is deterministic: identical input slices yield byte-identical
 /// strings, making the trace itself a regression artifact. Causal events
 /// ([`EventKind::CausalEdge`], [`EventKind::PredExec`],
-/// [`EventKind::ReplayAnswered`]) are *not* rendered here, so traces
-/// recorded without `KernelConfig::causal` stay byte-identical to the
-/// pre-causal format; use [`export_chrome_trace_with_flows`] to render
-/// them as Perfetto flow arrows.
+/// [`EventKind::ReplayAnswered`]) are *not* rendered here, so this format
+/// carries spans and instants only; use [`export_chrome_trace_with_flows`]
+/// to render them as Perfetto flow arrows.
 pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
     export(events, false)
 }
@@ -629,8 +628,8 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                     )),
                 );
             }
-            // Causal events render only in flow mode; the legacy export
-            // ignores them so pre-causal traces stay byte-identical.
+            // Causal events render only in flow mode; the plain export
+            // ignores them so its format has no flow events.
             EventKind::CausalEdge {
                 edge,
                 src_pid,

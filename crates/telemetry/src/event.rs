@@ -172,7 +172,7 @@ pub enum EventKind {
     KernelRecovery { resumed: u64, replayed_frames: u64 },
     /// A causal edge between two points on the span DAG (emitted at the
     /// *destination* time; `src_at` records when the source half
-    /// happened). Only recorded when `KernelConfig::causal` is on.
+    /// happened).
     CausalEdge {
         edge: EdgeKind,
         src_pid: u64,
@@ -185,7 +185,6 @@ pub enum EventKind {
     /// `tokens` is the new tokens this member contributes to the batch
     /// (>1 ⇒ prefill work, 1 ⇒ a decode step); `enqueued_at` is when the
     /// pred joined the pool, so `at - enqueued_at` is its queue wait.
-    /// Only recorded when `KernelConfig::causal` is on.
     PredExec {
         pid: u64,
         tid: u64,
@@ -194,8 +193,7 @@ pub enum EventKind {
         enqueued_at: SimTime,
     },
     /// A syscall was answered from the WAL effect journal during recovery
-    /// replay instead of executing (thread track). Only recorded when
-    /// `KernelConfig::causal` is on.
+    /// replay instead of executing (thread track).
     ReplayAnswered {
         pid: u64,
         tid: u64,

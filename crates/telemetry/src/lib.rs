@@ -15,9 +15,9 @@
 //!   [`export_chrome_trace_with_flows`] additionally renders causal
 //!   events as Perfetto flow arrows.
 //!
-//! On top of the raw stream sits the causal layer: when
-//! `KernelConfig::causal` is on the kernel records [`EventKind::CausalEdge`]
-//! (spawn, IPC, join, tool, preemption), [`EventKind::PredExec`] and
+//! On top of the raw stream sits the causal layer: whenever telemetry is on
+//! the kernel also records [`EventKind::CausalEdge`] (spawn, IPC, join,
+//! tool, preemption), [`EventKind::PredExec`] and
 //! [`EventKind::ReplayAnswered`] events. [`trace_tree`] folds the stream
 //! into per-program span trees, [`critical_path`] walks each tree
 //! backwards into exclusive [`critical_path::Phase`] buckets whose sum is

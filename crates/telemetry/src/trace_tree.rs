@@ -3,8 +3,7 @@
 //! The event bus records a flat, time-ordered stream. This module folds it
 //! back into the shape the kernel actually executed: a [`TraceForest`] of
 //! root programs, each holding its threads, each thread holding its
-//! syscall spans in order. Causal events (recorded when
-//! `KernelConfig::causal` is on) decorate the tree:
+//! syscall spans in order. Causal events decorate the tree:
 //!
 //! * [`EventKind::CausalEdge`] `Spawn` edges become [`ThreadTrace::spawned_by`];
 //!   `Ipc`/`Join` edges become [`SyscallSpan::wake`], pointing at the source
@@ -71,7 +70,7 @@ pub struct SyscallSpan {
     /// Answered from the WAL effect journal during recovery replay.
     pub replayed: bool,
     /// The IPC send or thread exit that unblocked this span (`recv` and
-    /// `join` spans, causal mode only).
+    /// `join` spans).
     pub wake: Option<CausalLink>,
 }
 
@@ -84,8 +83,8 @@ pub struct ThreadTrace {
     pub started_at: SimTime,
     /// `ThreadExit` time (last recorded time if the thread never exited).
     pub ended_at: SimTime,
-    /// The parent thread's `spawn` syscall (causal mode, sibling threads
-    /// only; root main threads have no parent).
+    /// The parent thread's `spawn` syscall (sibling threads only; root
+    /// main threads have no parent).
     pub spawned_by: Option<CausalLink>,
     /// Syscall spans in time order. At most one is open at a time — LIP
     /// threads block in the kernel for the duration of every syscall.
@@ -224,9 +223,9 @@ struct ProgramBuilder {
 
 /// Reconstructs the per-program span forest from a recorded event stream.
 ///
-/// Works on streams recorded with or without causal mode: without it the
-/// trees still carry full span timelines, just no wake/spawn edges, exec
-/// windows or replay marks.
+/// Works on streams that lack causal events too: the trees then still
+/// carry full span timelines, just no wake/spawn edges, exec windows or
+/// replay marks.
 pub fn build_forest(events: &[TimedEvent]) -> TraceForest {
     let last_at = events.last().map(|e| e.at).unwrap_or(SimTime::ZERO);
     let mut programs: BTreeMap<u64, ProgramBuilder> = BTreeMap::new();

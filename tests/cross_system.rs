@@ -2,7 +2,7 @@
 //! systems built on the shared substrate.
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig};
+use symphony::{Kernel, KernelConfig, TimedEvent};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_sim::SimTime;
 use symphony_tokenizer::Bpe;
@@ -59,11 +59,13 @@ fn symphony_and_baselines_agree_on_greedy_output() {
 }
 
 /// Whole-stack determinism: a mixed workload (generation + tools + threads
-/// + IPC) replays identically, trace fingerprint included.
+/// + IPC) replays identically, telemetry event stream included.
 #[test]
 fn full_stack_determinism() {
-    fn run_once() -> (u64, Vec<String>) {
-        let mut kernel = Kernel::new(KernelConfig::for_tests());
+    fn run_once() -> (Vec<TimedEvent>, Vec<String>) {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        let mut kernel = Kernel::new(cfg);
         kernel.register_tool(
             "search",
             symphony::ToolSpec::new(symphony::SimDuration::from_millis(20), |q| {
@@ -104,11 +106,12 @@ fn full_stack_determinism() {
             .iter()
             .map(|&p| kernel.record(p).unwrap().output.clone())
             .collect();
-        (kernel.trace().fingerprint(), outputs)
+        (kernel.telemetry_events().to_vec(), outputs)
     }
-    let (fp1, out1) = run_once();
-    let (fp2, out2) = run_once();
-    assert_eq!(fp1, fp2);
+    let (ev1, out1) = run_once();
+    let (ev2, out2) = run_once();
+    assert!(!ev1.is_empty());
+    assert_eq!(ev1, ev2);
     assert_eq!(out1, out2);
 }
 
