@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use symphony_gpu::{DeviceSpec, ExecError, GpuExecutor, GpuMetrics, PredRequest};
 use symphony_kvfs::{
     FileId, KvError, KvStats, KvStore, KvStoreConfig, Mode, OwnerId, Residency, RestoreReport,
@@ -521,11 +521,12 @@ impl Kernel {
     pub fn recover(config: KernelConfig) -> Result<(Self, RecoveryReport), WalError> {
         let wal_cfg = config.wal.clone().ok_or(WalError::Disabled)?;
         let bytes = std::fs::read(&wal_cfg.path).map_err(|_| WalError::Unreadable)?;
-        let (seed, records, valid_len, torn) = wal::read_wal(&bytes)?;
-        if seed != config.seed {
+        let mut replay = wal::Replay::default();
+        let walk = wal::walk_wal(&bytes, |rec| replay.fold(rec))?;
+        if walk.fields != [config.seed] {
             return Err(WalError::Incompatible);
         }
-        let replay = wal::build_replay(records, valid_len, torn);
+        replay.finish(walk.len, walk.torn);
         let report = RecoveryReport {
             resumed: replay.procs.values().filter(|p| p.exit.is_none()).count()
                 + replay.scheduled.len(),
@@ -572,7 +573,7 @@ impl Kernel {
             }
             None => KvStore::with_registry(store_config, &registry),
         };
-        let (up_tx, up_rx) = unbounded();
+        let (up_tx, up_rx) = channel();
         let wal_config = config.wal.clone();
         let mut kernel = Kernel {
             store,
@@ -655,7 +656,7 @@ impl Kernel {
                 let w = WalState::open_append(cfg, r.wal_bytes, r.clock)
                     // lint:allow(k1): an unusable WAL at recovery boot is unrecoverable
                     .expect("reopen kernel WAL");
-                kernel.kmetrics.wal_bytes.set(w.bytes_written as i64);
+                kernel.kmetrics.wal_bytes.set(w.bytes_written() as i64);
                 kernel.wal = Some(w);
             }
             kernel.replay = Some(r);
@@ -663,7 +664,7 @@ impl Kernel {
             let w = WalState::create(cfg, config.seed)
                 // lint:allow(k1): WAL creation failing at kernel boot is unrecoverable
                 .expect("create kernel WAL");
-            kernel.kmetrics.wal_bytes.set(w.bytes_written as i64);
+            kernel.kmetrics.wal_bytes.set(w.bytes_written() as i64);
             kernel.wal = Some(w);
         }
         kernel
@@ -1026,7 +1027,7 @@ impl Kernel {
     /// Spawns the LIP thread under a pre-assigned tid (recovery re-admission
     /// and journalled schedules, where tid identity pins the RNG stream).
     fn spawn_thread_with_tid(&mut self, tid: Tid, pid: Pid, args: String, f: LipFn) -> Tid {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         let ctx = Ctx::new(
             tid,
             pid,
@@ -1334,7 +1335,7 @@ impl Kernel {
         w.append_sync(&rec)
             // lint:allow(k1): a failed WAL write silently voids durability
             .expect("kernel WAL append");
-        self.kmetrics.wal_bytes.set(w.bytes_written as i64);
+        self.kmetrics.wal_bytes.set(w.bytes_written() as i64);
     }
 
     /// Buffers a bulky pred frame for the next checkpoint (no-op when the
@@ -1373,7 +1374,7 @@ impl Kernel {
         while w.next_checkpoint_at <= now {
             w.next_checkpoint_at += w.checkpoint_every;
         }
-        let wal_bytes = w.bytes_written;
+        let wal_bytes = w.bytes_written();
         self.kmetrics.checkpoints.inc();
         self.kmetrics.wal_bytes.set(wal_bytes as i64);
         self.bus
@@ -1387,8 +1388,7 @@ impl Kernel {
         self.bus
             .emit(at, move || EventKind::KernelCrash { boundary });
         if let Some(w) = self.wal.as_mut() {
-            w.pred_buf.clear();
-            w.buffered_frames = 0;
+            w.crash();
         }
         self.crashed = Some(boundary);
     }

@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 type JobSlot = (Job, Sender<()>);
@@ -55,7 +55,7 @@ impl JobHandle {
 /// busy hosting a live LIP.
 pub(crate) fn spawn_lip(job: Job) -> JobHandle {
     let p = pool();
-    let (done_tx, done_rx) = unbounded();
+    let (done_tx, done_rx) = channel();
     let parked = {
         // lint:allow(k1): poisoning is impossible — nothing panics while the
         // idle list is held
@@ -65,7 +65,7 @@ pub(crate) fn spawn_lip(job: Job) -> JobHandle {
     let slot = match parked {
         Some(tx) => tx,
         None => {
-            let (tx, rx) = unbounded::<JobSlot>();
+            let (tx, rx) = channel::<JobSlot>();
             let self_tx = tx.clone();
             let n = p.spawned.fetch_add(1, Ordering::Relaxed);
             std::thread::Builder::new()

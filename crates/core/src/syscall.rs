@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use symphony_kvfs::{FileId, FileStat, KvEntry, Mode};
 use symphony_model::{Dist, TokenId};
 use symphony_sim::{SimDuration, SimTime};

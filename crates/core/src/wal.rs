@@ -1,27 +1,34 @@
 //! The kernel write-ahead log: crash-tolerant serving state.
 //!
-//! PR 5 made KV pages durable; this module makes the *kernel* durable —
-//! process table, tool side-effects, IPC traffic and pred results — so a
-//! mid-run crash costs bounded re-execution instead of every in-flight
-//! program. The format reuses the SYMJ frame discipline from
-//! `symphony_kvfs::journal` (`[tag u8][len u32][payload][crc u32]`,
-//! FNV-1a over tag + payload, torn tails truncated) under a distinct
-//! magic and tag space (32+), so one set of tooling reads both logs.
+//! The KVFS journal makes KV pages durable; this module makes the
+//! *kernel* durable — process table, tool side-effects, IPC traffic and
+//! pred results — so a mid-run crash costs bounded re-execution instead of
+//! every in-flight program. The WAL is a `SYMW` log in the shared format
+//! of [`symphony_sim::log`], the same code the KVFS journal (`SYMJ`) runs
+//! on: one header layout, frame walk, torn-tail cut and file handle, two
+//! tag spaces. This module owns only its tags (32+), their payload codec,
+//! the seed in its header, and the checkpoint schedule. Unlike the
+//! journal, the WAL has no terminator: any frame boundary is a complete
+//! log.
 //!
 //! # Durability classes
 //!
 //! Frames split into two classes, and the split is what makes the
 //! checkpoint interval a real knob:
 //!
-//! - **Synchronous** (flushed before the effect is observable): process
-//!   spawn/exit, tool effects, IPC sends/receives, name lookups and
-//!   `now` reads. These are small and must never be lost — a re-executed
-//!   LIP that cannot find its tool call in the log would fire the tool
-//!   twice.
-//! - **Buffered** (flushed at checkpoints): pred results, which carry
+//! - **Synchronous** (written through before the effect is observable):
+//!   process spawn/exit, tool effects, IPC sends/receives, name lookups
+//!   and `now` reads. These are small and must never be lost — a
+//!   re-executed LIP that cannot find its tool call in the log would fire
+//!   the tool twice.
+//! - **Buffered** (written at checkpoints): pred results, which carry
 //!   whole token distributions. A crash loses the buffer; the recovered
 //!   LIP re-executes those preds on the GPU. Wasted work therefore
 //!   scales with the checkpoint interval, which E14 measures.
+//!
+//! "Written" means handed to the OS with `write(2)`; nothing calls
+//! `fsync`. That survives a crash of the kernel process, which is the
+//! fault the kernel models, but not power loss.
 //!
 //! # Recovery model
 //!
@@ -36,14 +43,12 @@
 //! per `(pid, effect kind)` key the replay maps.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
 use std::path::PathBuf;
 
 use symphony_kvfs::KvError;
 use symphony_model::Dist;
-use symphony_sim::frame::{
-    append_frame, fnv1a, next_frame, push_opt_u64, push_str, push_u32, push_u64, Cursor,
-};
+use symphony_sim::frame::{push_opt_u64, push_str, push_u32, push_u64, Cursor};
+use symphony_sim::log::{Format, HeaderError, LogFile, Walk};
 use symphony_sim::{SimDuration, SimTime};
 
 use crate::resilience::BreakerStateView;
@@ -58,7 +63,12 @@ pub const WAL_VERSION: u32 = 1;
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
 
-const HEADER_LEN: usize = 4 + 4 + 8 + 4;
+/// The WAL's log format: no terminator, the kernel seed in the header.
+const FORMAT: Format<1> = Format {
+    magic: WAL_MAGIC,
+    version: WAL_VERSION,
+    terminator: &[],
+};
 
 const TAG_PROC_SPAWN: u8 = 32;
 const TAG_PROC_EXIT: u8 = 33;
@@ -79,7 +89,9 @@ pub struct WalConfig {
     /// `Kernel::new`; appended to by `Kernel::recover`.
     pub path: PathBuf,
     /// Virtual-time interval between checkpoints. Shorter intervals lose
-    /// less pred work to a crash but write (and fsync) more often.
+    /// less pred work to a crash but write more often. A checkpoint hands
+    /// the buffered pred frames to the OS (`write(2)`, no `fsync`): they
+    /// survive a kernel-process crash, not power loss.
     pub checkpoint_every: SimDuration,
 }
 
@@ -757,90 +769,37 @@ pub fn frame_counts(bytes: &[u8]) -> Result<BTreeMap<&'static str, u64>, WalErro
     Ok(counts)
 }
 
-/// Encodes one record as a complete SYMJ frame.
-pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
+fn encode(rec: &WalRecord) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_payload(rec, &mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 9);
-    append_frame(&mut frame, record_tag(rec), &payload);
-    frame
-}
-
-fn header_bytes(seed: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(&WAL_MAGIC);
-    push_u32(&mut buf, WAL_VERSION);
-    push_u64(&mut buf, seed);
-    let crc = fnv1a(&buf);
-    push_u32(&mut buf, crc);
-    buf
-}
-
-/// Parses WAL bytes: the writing kernel's seed, the longest valid record
-/// prefix, the byte length of that prefix (header included, for torn-tail
-/// truncation on reopen), and whether a torn tail (or an undecodable
-/// frame) was cut. An unknown tag or malformed payload ends the valid
-/// prefix exactly like a torn frame — forward-compatible and crash-safe
-/// in the same code path.
-pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool), WalError> {
-    let mut records = Vec::new();
-    let (seed, valid_len, torn) = walk_wal(bytes, |rec| records.push(rec))?;
-    Ok((seed, records, valid_len, torn))
+    payload
 }
 
 /// Checks the header, then decodes the longest valid record prefix frame
 /// by frame, borrowing each payload from `bytes` and handing each record
-/// to `visit`. Returns what [`read_wal`] does, minus the records.
-fn walk_wal(bytes: &[u8], mut visit: impl FnMut(WalRecord)) -> Result<(u64, u64, bool), WalError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WalError::Unreadable);
-    }
-    if bytes[..4] != WAL_MAGIC {
-        return Err(WalError::Incompatible);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap_or([0; 4]));
-    if version != WAL_VERSION {
-        return Err(WalError::Incompatible);
-    }
-    let seed = u64::from_le_bytes(bytes[8..16].try_into().unwrap_or([0; 8]));
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap_or([0; 4]));
-    if stored_crc != fnv1a(&bytes[..HEADER_LEN - 4]) {
-        return Err(WalError::Unreadable);
-    }
-    let body = &bytes[HEADER_LEN..];
-    let mut c = Cursor::new(body);
-    let mut valid_len = HEADER_LEN as u64;
-    loop {
-        let mark = c.pos();
-        let Some((tag, payload)) = next_frame(&mut c) else {
-            // Leftover bytes that do not form a checksummed frame: torn.
-            return Ok((seed, valid_len, mark != body.len()));
-        };
-        let Some(rec) = decode_payload(tag, payload) else {
-            return Ok((seed, valid_len, true));
-        };
-        // Frame layout: tag u8 + len u32 + payload + crc u32.
-        valid_len += 9 + payload.len() as u64;
-        visit(rec);
-    }
+/// to `visit`. The walk's one header field is the writing kernel's seed;
+/// its length is where to reopen the file for appending. An unknown tag or
+/// malformed payload ends the valid prefix exactly like a torn frame —
+/// forward-compatible and crash-safe in the same code path.
+pub(crate) fn walk_wal(bytes: &[u8], mut visit: impl FnMut(WalRecord)) -> Result<Walk<1>, WalError> {
+    FORMAT
+        .walk(bytes, |tag, payload| {
+            decode_payload(tag, payload).map(&mut visit).is_some()
+        })
+        .map_err(|e| match e {
+            HeaderError::Incompatible => WalError::Incompatible,
+            HeaderError::Short | HeaderError::Corrupt => WalError::Unreadable,
+        })
 }
 
 // ---- writer ----------------------------------------------------------------
 
-/// Appends frames to the WAL file. Synchronous frames are flushed as they
-/// are written; buffered pred frames accumulate in [`WalState::pred_buf`]
-/// until a checkpoint.
+/// The kernel's open WAL: the shared log handle plus the checkpoint
+/// schedule. Synchronous frames are written as they come; buffered pred
+/// frames wait in the handle until a checkpoint.
 #[derive(Debug)]
 pub(crate) struct WalState {
-    file: std::fs::File,
-    /// Total bytes durably appended (header included).
-    pub(crate) bytes_written: u64,
-    /// Frames durably appended.
-    pub(crate) frames_written: u64,
-    /// Encoded pred frames awaiting the next checkpoint.
-    pub(crate) pred_buf: Vec<u8>,
-    /// Pred frames currently buffered.
-    pub(crate) buffered_frames: u64,
+    log: LogFile,
     /// Checkpoint spacing on the virtual clock.
     pub(crate) checkpoint_every: SimDuration,
     /// Next checkpoint due at this virtual time.
@@ -850,21 +809,8 @@ pub(crate) struct WalState {
 impl WalState {
     /// Creates (truncating) the WAL for a fresh kernel.
     pub(crate) fn create(config: &WalConfig, seed: u64) -> std::io::Result<Self> {
-        let mut file = std::fs::File::create(&config.path)?;
-        let header = header_bytes(seed);
-        file.write_all(&header)?;
-        file.flush()?;
-        // A zero interval would make the checkpoint catch-up loop spin.
-        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
-        Ok(WalState {
-            file,
-            bytes_written: header.len() as u64,
-            frames_written: 0,
-            pred_buf: Vec::new(),
-            buffered_frames: 0,
-            checkpoint_every: every,
-            next_checkpoint_at: SimTime::ZERO + every,
-        })
+        let log = LogFile::create(&config.path, &FORMAT.header([seed]), FORMAT.terminator)?;
+        Ok(Self::with_log(log, config, SimTime::ZERO))
     }
 
     /// Opens the WAL for appending after recovery. `durable_len` is how
@@ -875,52 +821,45 @@ impl WalState {
         durable_len: u64,
         clock: SimTime,
     ) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new().write(true).open(&config.path)?;
-        file.set_len(durable_len)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
-        Ok(WalState {
-            file,
-            bytes_written: durable_len,
-            frames_written: 0,
-            pred_buf: Vec::new(),
-            buffered_frames: 0,
-            checkpoint_every: every,
-            next_checkpoint_at: clock + every,
-        })
+        let log = LogFile::open(&config.path, durable_len, FORMAT.terminator)?;
+        Ok(Self::with_log(log, config, clock))
     }
 
-    /// Appends one synchronous frame and flushes it.
+    fn with_log(log: LogFile, config: &WalConfig, clock: SimTime) -> Self {
+        // A zero interval would make the checkpoint catch-up loop spin.
+        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
+        WalState {
+            log,
+            checkpoint_every: every,
+            next_checkpoint_at: clock + every,
+        }
+    }
+
+    /// Writes one synchronous frame through, ahead of buffered pred frames.
     pub(crate) fn append_sync(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        let frame = encode_frame(rec);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.bytes_written += frame.len() as u64;
-        self.frames_written += 1;
-        Ok(())
+        self.log.append(record_tag(rec), &encode(rec))
     }
 
     /// Buffers one pred frame for the next checkpoint.
     pub(crate) fn buffer_pred(&mut self, rec: &WalRecord) {
-        self.pred_buf.extend_from_slice(&encode_frame(rec));
-        self.buffered_frames += 1;
+        self.log.buffer(record_tag(rec), &encode(rec));
     }
 
-    /// Flushes the pred buffer and the checkpoint frame. Returns the
-    /// number of frames made durable.
+    /// Writes the buffered pred frames and the checkpoint frame. Returns
+    /// the number of frames written.
     pub(crate) fn checkpoint(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
-        let flushed = self.buffered_frames;
-        if !self.pred_buf.is_empty() {
-            self.file.write_all(&self.pred_buf)?;
-            self.bytes_written += self.pred_buf.len() as u64;
-            self.frames_written += self.buffered_frames;
-            self.pred_buf.clear();
-            self.buffered_frames = 0;
-        }
-        self.append_sync(rec)?;
-        Ok(flushed + 1)
+        self.buffer_pred(rec);
+        self.log.flush()
+    }
+
+    /// An injected crash: the buffered pred frames are lost.
+    pub(crate) fn crash(&mut self) {
+        self.log.drop_buffer();
+    }
+
+    /// Bytes written to the file, header included (the buffer excluded).
+    pub(crate) fn bytes_written(&self) -> u64 {
+        self.log.durable_len()
     }
 }
 
@@ -998,6 +937,8 @@ pub(crate) struct Replay {
     pub(crate) frames: u64,
     pub(crate) wal_bytes: u64,
     pub(crate) torn: bool,
+    /// `(from, seq)` of every send already in `sends`.
+    send_keys_seen: BTreeSet<(u64, u64)>,
 }
 
 impl Replay {
@@ -1010,21 +951,13 @@ impl Replay {
         }
         counts
     }
-}
 
-/// Folds a record stream into replay maps. Re-journalled frames from a
-/// previous recovery are idempotent: later frames for the same key simply
-/// overwrite identical content.
-pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) -> Replay {
-    let mut r = Replay {
-        wal_bytes,
-        torn,
-        frames: records.len() as u64,
-        ..Replay::default()
-    };
-    let mut send_keys_seen: BTreeSet<(u64, u64)> = BTreeSet::new();
-    for rec in records {
-        r.clock = r.clock.max(rec.at());
+    /// Folds one record into the replay maps, in log order. Re-journalled
+    /// frames from a previous recovery are idempotent: later frames for
+    /// the same key simply overwrite identical content.
+    pub(crate) fn fold(&mut self, rec: WalRecord) {
+        self.frames += 1;
+        self.clock = self.clock.max(rec.at());
         match rec {
             WalRecord::ProcSpawn {
                 at,
@@ -1035,9 +968,9 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 args,
                 limits,
             } => {
-                r.next_pid = r.next_pid.max(pid + 1);
-                r.next_tid = r.next_tid.max(main_tid + 1);
-                r.procs.entry(pid).or_insert(ReplayProc {
+                self.next_pid = self.next_pid.max(pid + 1);
+                self.next_tid = self.next_tid.max(main_tid + 1);
+                self.procs.entry(pid).or_insert(ReplayProc {
                     name,
                     args,
                     spawned_at: at,
@@ -1054,7 +987,7 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 output,
                 usage,
             } => {
-                if let Some(p) = r.procs.get_mut(&pid) {
+                if let Some(p) = self.procs.get_mut(&pid) {
                     p.exit = Some(ReplayExit {
                         at,
                         status,
@@ -1070,7 +1003,7 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 result,
                 ..
             } => {
-                r.tools
+                self.tools
                     .insert((pid, seq), ToolOutcomeRec { latency_ns, result });
             }
             WalRecord::IpcSend {
@@ -1082,11 +1015,11 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 data,
                 ..
             } => {
-                r.send_results.insert((from, seq), ok);
+                self.send_results.insert((from, seq), ok);
                 // Journal order is delivery order; only first sight counts
                 // (a recovered run re-journals nothing, but belt and braces).
-                if ok && delivered && send_keys_seen.insert((from, seq)) {
-                    r.sends.push(SendRec {
+                if ok && delivered && self.send_keys_seen.insert((from, seq)) {
+                    self.sends.push(SendRec {
                         to,
                         delivered,
                         data,
@@ -1101,20 +1034,20 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 data,
                 ..
             } => {
-                r.recvs.insert((pid, seq), (from, data));
+                self.recvs.insert((pid, seq), (from, data));
             }
             WalRecord::Lookup {
                 pid, seq, found, ..
             } => {
-                r.lookups.insert((pid, seq), found);
+                self.lookups.insert((pid, seq), found);
             }
             WalRecord::NowEffect { pid, seq, t, .. } => {
-                r.nows.insert((pid, seq), t);
+                self.nows.insert((pid, seq), t);
             }
             WalRecord::PredEffect {
                 pid, seq, dists, ..
             } => {
-                r.preds.insert((pid, seq), dists);
+                self.preds.insert((pid, seq), dists);
             }
             WalRecord::Checkpoint {
                 next_pid,
@@ -1122,9 +1055,9 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 breakers,
                 ..
             } => {
-                r.next_pid = r.next_pid.max(next_pid);
-                r.next_tid = r.next_tid.max(next_tid);
-                r.breakers = breakers;
+                self.next_pid = self.next_pid.max(next_pid);
+                self.next_tid = self.next_tid.max(next_tid);
+                self.breakers = breakers;
             }
             WalRecord::ProcSched {
                 pid,
@@ -1136,9 +1069,9 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 limits,
                 ..
             } => {
-                r.next_pid = r.next_pid.max(pid + 1);
-                r.next_tid = r.next_tid.max(main_tid + 1);
-                r.scheduled.entry(pid).or_insert(ReplaySched {
+                self.next_pid = self.next_pid.max(pid + 1);
+                self.next_tid = self.next_tid.max(main_tid + 1);
+                self.scheduled.entry(pid).or_insert(ReplaySched {
                     name,
                     args,
                     main_tid,
@@ -1149,22 +1082,23 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
             }
         }
     }
-    // A spawn frame supersedes the schedule frame for the same pid.
-    let started: Vec<u64> = r
-        .scheduled
-        .keys()
-        .filter(|p| r.procs.contains_key(p))
-        .copied()
-        .collect();
-    for pid in started {
-        r.scheduled.remove(&pid);
+
+    /// Ends the fold once the walk has covered `wal_bytes` of the log.
+    pub(crate) fn finish(&mut self, wal_bytes: u64, torn: bool) {
+        self.wal_bytes = wal_bytes;
+        self.torn = torn;
+        // A spawn frame supersedes the schedule frame for the same pid.
+        let procs = &self.procs;
+        self.scheduled.retain(|pid, _| !procs.contains_key(pid));
     }
-    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symphony_sim::frame::{append_frame, FRAME_OVERHEAD};
+
+    const HEADER_LEN: usize = Format::<1>::HEADER_LEN;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -1278,21 +1212,28 @@ mod tests {
     }
 
     fn wal_bytes(records: &[WalRecord], seed: u64) -> Vec<u8> {
-        let mut buf = header_bytes(seed);
+        let mut buf = FORMAT.header([seed]);
         for r in records {
-            buf.extend_from_slice(&encode_frame(r));
+            append_frame(&mut buf, record_tag(r), &encode(r));
         }
         buf
+    }
+
+    /// Every record the walk visits, and the walk.
+    fn read(bytes: &[u8]) -> Result<(Vec<WalRecord>, Walk<1>), WalError> {
+        let mut records = Vec::new();
+        let walk = walk_wal(bytes, |rec| records.push(rec))?;
+        Ok((records, walk))
     }
 
     #[test]
     fn round_trips_every_record_type() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        let (seed, back, valid_len, torn) = read_wal(&bytes).unwrap();
-        assert_eq!(seed, 42);
-        assert_eq!(valid_len, bytes.len() as u64);
-        assert!(!torn);
+        let (back, walk) = read(&bytes).unwrap();
+        assert_eq!(walk.fields, [42]);
+        assert_eq!(walk.len, bytes.len() as u64);
+        assert!(!walk.torn);
         assert_eq!(back.len(), recs.len());
         for (a, b) in recs.iter().zip(&back) {
             match (a, b) {
@@ -1321,18 +1262,18 @@ mod tests {
         let mut boundaries = vec![HEADER_LEN];
         let mut off = HEADER_LEN;
         for r in &recs {
-            off += encode_frame(r).len();
+            off += FRAME_OVERHEAD + encode(r).len();
             boundaries.push(off);
         }
         for cut in HEADER_LEN..bytes.len() {
-            let (seed, prefix, valid_len, torn) = read_wal(&bytes[..cut]).unwrap();
-            assert_eq!(seed, 7);
+            let (prefix, walk) = read(&bytes[..cut]).unwrap();
+            assert_eq!(walk.fields, [7]);
             let on_boundary = boundaries.contains(&cut);
-            assert_eq!(torn, !on_boundary, "cut at {cut}");
+            assert_eq!(walk.torn, !on_boundary, "cut at {cut}");
             let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             assert_eq!(prefix.len(), whole, "cut at {cut}");
             let last_boundary = boundaries.iter().filter(|&&b| b <= cut).max().unwrap();
-            assert_eq!(valid_len, *last_boundary as u64, "cut at {cut}");
+            assert_eq!(walk.len, *last_boundary as u64, "cut at {cut}");
             assert_eq!(
                 frame_counts(&bytes[..cut]),
                 Ok(counts_of(&prefix)),
@@ -1341,7 +1282,7 @@ mod tests {
         }
         // Cuts inside the header are unreadable, not torn.
         for cut in 0..HEADER_LEN {
-            assert_eq!(read_wal(&bytes[..cut]), Err(WalError::Unreadable));
+            assert_eq!(read(&bytes[..cut]), Err(WalError::Unreadable));
             assert_eq!(frame_counts(&bytes[..cut]), Err(WalError::Unreadable));
         }
     }
@@ -1351,23 +1292,23 @@ mod tests {
         let bytes = wal_bytes(&[], 1);
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
+        assert_eq!(read(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 99;
-        assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
+        assert_eq!(read(&wrong_version), Err(WalError::Incompatible));
         let mut bad_crc = bytes;
         bad_crc[9] ^= 0xff;
-        assert_eq!(read_wal(&bad_crc), Err(WalError::Unreadable));
+        assert_eq!(read(&bad_crc), Err(WalError::Unreadable));
     }
 
     #[test]
     fn unknown_tag_truncates_like_a_tear() {
         let mut bytes = wal_bytes(&sample_records()[..2], 3);
         append_frame(&mut bytes, 250, b"future record type");
-        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        let (records, walk) = read(&bytes).unwrap();
         assert_eq!(records.len(), 2);
-        assert!(valid_len < bytes.len() as u64);
-        assert!(torn);
+        assert!(walk.len < bytes.len() as u64);
+        assert!(walk.torn);
         assert_eq!(frame_counts(&bytes), Ok(counts_of(&records)));
     }
 
@@ -1384,8 +1325,10 @@ mod tests {
     fn replay_maps_key_by_pid_and_seq() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 5);
-        let (_, records, _, torn) = read_wal(&bytes).unwrap();
-        let r = build_replay(records, bytes.len() as u64, torn);
+        let mut r = Replay::default();
+        let walk = walk_wal(&bytes, |rec| r.fold(rec)).unwrap();
+        r.finish(walk.len, walk.torn);
+        assert_eq!((r.frames, r.wal_bytes), (recs.len() as u64, bytes.len() as u64));
         assert_eq!(r.clock, SimTime::from_nanos(61));
         assert_eq!(r.next_pid, 5);
         assert_eq!(r.procs.len(), 1);
@@ -1435,9 +1378,9 @@ mod tests {
         let mut w = WalState::create(&cfg, 9).unwrap();
         w.append_sync(&sample_records()[0]).unwrap();
         w.buffer_pred(&sample_records()[7]);
-        assert_eq!(w.buffered_frames, 1);
         let on_disk = std::fs::read(&path).unwrap();
-        let (_, recs, _, _) = read_wal(&on_disk).unwrap();
+        assert_eq!(w.bytes_written(), on_disk.len() as u64);
+        let (recs, _) = read(&on_disk).unwrap();
         assert_eq!(recs.len(), 1, "pred not durable before checkpoint");
         let flushed = w
             .checkpoint(&WalRecord::Checkpoint {
@@ -1449,8 +1392,8 @@ mod tests {
             .unwrap();
         assert_eq!(flushed, 2);
         let on_disk = std::fs::read(&path).unwrap();
-        let (_, recs, _, torn) = read_wal(&on_disk).unwrap();
-        assert!(!torn);
+        let (recs, walk) = read(&on_disk).unwrap();
+        assert!(!walk.torn);
         assert_eq!(recs.len(), 3, "spawn + pred + checkpoint");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,12 +1,15 @@
 //! Append-only page journal: the KVFS persistence format.
 //!
-//! A journal is a fixed header followed by framed, typed, checksummed
-//! records and a terminating [`Record::End`]. Every frame is
-//! `[tag u8][len u32][payload][crc u32]` with the CRC (FNV-1a over tag and
-//! payload) making torn tails detectable: replay keeps the longest valid
-//! record prefix and reports the tear as [`KvError::JournalTorn`] detail
-//! instead of failing the whole restore — the truncate-and-continue
-//! recovery of append-only stores like diskomap.
+//! A journal is a `SYMJ` log in the shared format of
+//! [`symphony_sim::log`]: a fixed header (the store geometry), framed,
+//! typed, checksummed records, and a terminating [`Record::End`] frame.
+//! The kernel WAL runs on the same log code under its own magic and tag
+//! space; this module owns only the journal's tags (1–9), their payload
+//! codec and the `End` seal. A torn tail is detectable by its checksum or
+//! its missing `End`: replay keeps the longest valid record prefix and
+//! reports the tear as [`KvError::JournalTorn`] detail instead of failing
+//! the whole restore — the truncate-and-continue recovery of append-only
+//! stores like diskomap.
 //!
 //! [`crate::store::KvStore::snapshot_to_journal`] serialises a store as a
 //! record sequence (pages, file metadata, links, quotas, pool state);
@@ -15,6 +18,8 @@
 //! links and removes — back into a byte-identical store.
 
 use symphony_model::CtxFingerprint;
+use symphony_sim::frame::{append_frame, empty_frame, push_u32, push_u64, Cursor, FRAME_OVERHEAD};
+use symphony_sim::log::{Format, HeaderError, LogFile};
 
 use crate::error::KvError;
 use crate::page::{KvEntry, Tier};
@@ -130,13 +135,16 @@ const TIER_GPU: u8 = 0;
 const TIER_CPU: u8 = 1;
 const TIER_DISK: u8 = 2;
 
-// The SYMJ frame layout — `[tag u8][len u32][payload][crc u32]`, FNV-1a
-// over tag + payload — is the workspace-wide codec from
-// `symphony_sim::frame`, re-exported here because the kernel WAL predates
-// the shared module and imports the framing through this path.
-pub use symphony_sim::frame::{append_frame, read_frames};
+/// The `End` seal: the frame that closes every complete journal.
+const END_FRAME: [u8; FRAME_OVERHEAD] = empty_frame(TAG_END);
 
-use symphony_sim::frame::{fnv1a, next_frame, push_u32, push_u64, Cursor};
+/// The journal's log format: its magic, version and `End` seal, with the
+/// four [`JournalHeader`] fields in the header.
+const FORMAT: Format<4> = Format {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+    terminator: &END_FRAME,
+};
 
 fn encode_tier(tier: Tier) -> u8 {
     match tier {
@@ -337,35 +345,33 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Starts a journal with the given header.
     pub fn new(header: &JournalHeader) -> Self {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&JOURNAL_MAGIC);
-        push_u32(&mut buf, JOURNAL_VERSION);
-        push_u64(&mut buf, header.page_tokens);
-        push_u64(&mut buf, header.bytes_per_token);
-        push_u64(&mut buf, header.next_file);
-        push_u64(&mut buf, header.access_clock);
-        let crc = fnv1a(&buf);
-        push_u32(&mut buf, crc);
+        let buf = FORMAT.header([
+            header.page_tokens,
+            header.bytes_per_token,
+            header.next_file,
+            header.access_clock,
+        ]);
         JournalWriter { buf }
     }
 
     /// Appends one framed record.
     pub fn append(&mut self, rec: &Record) {
-        let mut payload = Vec::new();
-        encode_payload(rec, &mut payload);
-        // CRC covers tag + payload (not the length, which the frame walk
-        // re-derives; a bad length shows up as a bad CRC anyway).
+        let payload = encode(rec);
         append_frame(&mut self.buf, record_tag(rec), &payload);
     }
 
     /// Terminates the journal and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        self.append(&Record::End);
+        self.buf.extend_from_slice(&END_FRAME);
         self.buf
     }
 }
 
-const HEADER_LEN: usize = 4 + 4 + 8 * 4 + 4;
+fn encode(rec: &Record) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_payload(rec, &mut payload);
+    payload
+}
 
 /// Parses a journal: the header, the longest valid record prefix, and
 /// whether the tail was torn (short frame, bad checksum, malformed payload
@@ -387,39 +393,22 @@ fn walk_journal(
     bytes: &[u8],
     mut visit: impl FnMut(Record),
 ) -> Result<(JournalHeader, bool), KvError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(KvError::JournalTorn);
-    }
-    let mut c = Cursor::new(bytes);
-    let magic = c.take(4).ok_or(KvError::JournalTorn)?;
-    if magic != JOURNAL_MAGIC {
-        return Err(KvError::JournalIncompatible);
-    }
-    let version = c.u32().ok_or(KvError::JournalTorn)?;
-    if version != JOURNAL_VERSION {
-        return Err(KvError::JournalIncompatible);
-    }
+    let walk = FORMAT
+        .walk(bytes, |tag, payload| {
+            decode_payload(tag, payload).map(&mut visit).is_some()
+        })
+        .map_err(|e| match e {
+            HeaderError::Incompatible => KvError::JournalIncompatible,
+            HeaderError::Short | HeaderError::Corrupt => KvError::JournalTorn,
+        })?;
+    let [page_tokens, bytes_per_token, next_file, access_clock] = walk.fields;
     let header = JournalHeader {
-        page_tokens: c.u64().ok_or(KvError::JournalTorn)?,
-        bytes_per_token: c.u64().ok_or(KvError::JournalTorn)?,
-        next_file: c.u64().ok_or(KvError::JournalTorn)?,
-        access_clock: c.u64().ok_or(KvError::JournalTorn)?,
+        page_tokens,
+        bytes_per_token,
+        next_file,
+        access_clock,
     };
-    let stored_crc = c.u32().ok_or(KvError::JournalTorn)?;
-    if stored_crc != fnv1a(&bytes[..HEADER_LEN - 4]) {
-        return Err(KvError::JournalTorn);
-    }
-
-    while let Some((tag, payload)) = next_frame(&mut c) {
-        let Some(rec) = decode_payload(tag, payload) else {
-            break;
-        };
-        if rec == Record::End {
-            return Ok((header, false));
-        }
-        visit(rec);
-    }
-    Ok((header, true))
+    Ok((header, walk.torn))
 }
 
 /// Human-readable name for a record's frame type.
@@ -452,9 +441,6 @@ pub fn frame_counts(
     Ok(counts)
 }
 
-/// Byte length of a framed [`Record::End`]: tag + length + CRC, no payload.
-const END_FRAME_LEN: u64 = 9;
-
 /// Tuning for an on-disk [`Journal`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalConfig {
@@ -479,22 +465,17 @@ impl Default for JournalConfig {
 /// An appendable on-disk journal: a base snapshot plus flushed delta
 /// batches, bounded by threshold-triggered compaction.
 ///
-/// Every flush *unseals* the file (strips the trailing [`Record::End`]
-/// frame), appends the buffered frames, and reseals with a fresh `End` —
-/// so every crash window leaves either the previous sealed journal or a
-/// torn tail that [`read_journal`] truncates back to a valid record
-/// prefix. [`Journal::compact`] rewrites the whole file as a
-/// snapshot-equivalent stream via a sibling temp file and an atomic
-/// rename: a crash before the rename leaves the old journal untouched.
+/// Every flush writes the buffered frames over the trailing
+/// [`Record::End`] frame and reseals with a fresh `End`, so every crash
+/// window leaves either the previous sealed journal or a torn tail that
+/// [`read_journal`] truncates back to a valid record prefix.
+/// [`Journal::compact`] rewrites the whole file as a snapshot-equivalent
+/// stream via a sibling temp file and an atomic rename: a crash before the
+/// rename leaves the old journal untouched.
 #[derive(Debug)]
 pub struct Journal {
-    path: std::path::PathBuf,
+    log: LogFile,
     config: JournalConfig,
-    /// Framed records not yet written to disk.
-    pending: Vec<u8>,
-    /// Sealed on-disk length, including the trailing `End` frame.
-    disk_len: u64,
-    compactions: u64,
 }
 
 impl Journal {
@@ -506,50 +487,29 @@ impl Journal {
         snapshot: &[u8],
         config: JournalConfig,
     ) -> std::io::Result<Journal> {
-        std::fs::write(path, snapshot)?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            config,
-            pending: Vec::new(),
-            disk_len: snapshot.len() as u64,
-            compactions: 0,
-        })
+        let log = LogFile::create(path, snapshot, FORMAT.terminator)?;
+        Ok(Journal { log, config })
     }
 
     /// Buffers one framed record, flushing when the buffer crosses
     /// [`JournalConfig::flush_every_bytes`].
     pub fn append(&mut self, rec: &Record) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        encode_payload(rec, &mut payload);
-        append_frame(&mut self.pending, record_tag(rec), &payload);
-        if self.pending.len() >= self.config.flush_every_bytes {
+        self.log.buffer(record_tag(rec), &encode(rec));
+        if self.log.buffered() >= self.config.flush_every_bytes {
             self.flush()?;
         }
         Ok(())
     }
 
-    /// Writes buffered records to disk: unseal (drop the `End` frame),
-    /// append, reseal. A no-op with an empty buffer.
+    /// Writes buffered records to disk and reseals. A no-op with an empty
+    /// buffer.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        use std::io::{Seek, SeekFrom, Write};
-        let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-        f.set_len(self.disk_len - END_FRAME_LEN)?;
-        f.seek(SeekFrom::End(0))?;
-        f.write_all(&self.pending)?;
-        let mut end = Vec::new();
-        append_frame(&mut end, TAG_END, &[]);
-        f.write_all(&end)?;
-        self.disk_len += self.pending.len() as u64;
-        self.pending.clear();
-        Ok(())
+        self.log.flush().map(drop)
     }
 
     /// Journal size: sealed bytes on disk plus the unflushed buffer.
     pub fn bytes(&self) -> u64 {
-        self.disk_len + self.pending.len() as u64
+        self.log.bytes()
     }
 
     /// `true` once [`Journal::bytes`] reaches the compaction threshold.
@@ -562,13 +522,7 @@ impl Journal {
     /// subsumed and dropped). Crash-safe: the snapshot lands in a sibling
     /// temp file first and replaces the journal with one atomic rename.
     pub fn compact(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
-        let tmp = self.tmp_path();
-        std::fs::write(&tmp, snapshot)?;
-        std::fs::rename(&tmp, &self.path)?;
-        self.disk_len = snapshot.len() as u64;
-        self.pending.clear();
-        self.compactions += 1;
-        Ok(())
+        self.log.compact(snapshot)
     }
 
     /// Fault-injection twin of [`Journal::compact`]: writes the temp file
@@ -577,23 +531,17 @@ impl Journal {
     /// prove a mid-compaction crash cannot lose the old journal.
     #[doc(hidden)]
     pub fn compact_crash_before_rename(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
-        std::fs::write(self.tmp_path(), snapshot)
-    }
-
-    fn tmp_path(&self) -> std::path::PathBuf {
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(".compact");
-        self.path.with_file_name(name)
+        self.log.compact_crash_before_rename(snapshot)
     }
 
     /// Compactions performed over this handle's lifetime.
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.log.compactions()
     }
 
     /// The journal's on-disk path.
     pub fn path(&self) -> &std::path::Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -691,7 +639,7 @@ mod tests {
         // Cut at every byte length: replay must never panic and must keep
         // a prefix of the full record sequence.
         let mut seen_lens = std::collections::BTreeSet::new();
-        for cut in HEADER_LEN..bytes.len() {
+        for cut in Format::<4>::HEADER_LEN..bytes.len() {
             let (h, records, torn) = read_journal(&bytes[..cut]).unwrap();
             assert_eq!(h, header());
             assert!(torn, "cut at {cut} must read as torn");
@@ -751,36 +699,40 @@ mod tests {
         assert!(!torn);
     }
 
+    /// Raw frames the journal format's walk visits, and whether it tore.
+    fn raw_walk(bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, bool) {
+        let mut frames = Vec::new();
+        let walk = FORMAT
+            .walk(bytes, |tag, payload| {
+                frames.push((tag, payload.to_vec()));
+                true
+            })
+            .unwrap();
+        (frames, walk.torn)
+    }
+
     #[test]
     fn raw_frames_round_trip_and_tear_at_every_cut() {
-        let mut buf = Vec::new();
+        let mut buf = JournalWriter::new(&header()).buf;
+        let start = buf.len();
         append_frame(&mut buf, 32, b"alpha");
         append_frame(&mut buf, 40, &[]);
         append_frame(&mut buf, 33, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let (frames, torn) = read_frames(&buf);
-        assert!(!torn);
-        assert_eq!(
-            frames,
-            vec![
-                (32u8, b"alpha".to_vec()),
-                (40u8, Vec::new()),
-                (33u8, vec![1, 2, 3, 4, 5, 6, 7, 8]),
-            ]
-        );
-        // Frame boundaries: a cut exactly between frames is a clean
-        // (shorter) log, not a tear.
-        let mut boundaries = vec![0usize];
-        let mut off = 0usize;
-        for (_, payload) in &frames {
-            off += 9 + payload.len();
-            boundaries.push(off);
-        }
-        for cut in 0..buf.len() {
-            let (prefix, torn) = read_frames(&buf[..cut]);
-            assert_eq!(torn, !boundaries.contains(&cut), "tear flag at cut {cut}");
+        let frames = vec![
+            (32u8, b"alpha".to_vec()),
+            (40u8, Vec::new()),
+            (33u8, vec![1, 2, 3, 4, 5, 6, 7, 8]),
+        ];
+        // Until the `End` seal lands, every cut reads as torn — even one
+        // exactly between frames — and keeps a prefix of the frames.
+        for cut in start..=buf.len() {
+            let (prefix, torn) = raw_walk(&buf[..cut]);
+            assert!(torn, "tear flag at cut {cut}");
             assert!(prefix.len() <= frames.len());
             assert_eq!(prefix[..], frames[..prefix.len()], "prefix at {cut}");
         }
+        buf.extend_from_slice(&END_FRAME);
+        assert_eq!(raw_walk(&buf), (frames, false));
     }
 
     #[test]
@@ -889,11 +841,13 @@ mod tests {
 
     #[test]
     fn raw_frame_crc_rejects_corruption() {
-        let mut buf = Vec::new();
+        let mut buf = JournalWriter::new(&header()).buf;
+        let start = buf.len();
         append_frame(&mut buf, 32, b"payload");
         append_frame(&mut buf, 33, b"second");
-        buf[3] ^= 0xff;
-        let (frames, torn) = read_frames(&buf);
+        buf.extend_from_slice(&END_FRAME);
+        buf[start + 3] ^= 0xff;
+        let (frames, torn) = raw_walk(&buf);
         assert!(torn);
         assert!(frames.is_empty());
     }

@@ -52,8 +52,7 @@ pub mod store;
 
 pub use error::KvError;
 pub use journal::{
-    append_frame, read_frames, Journal, JournalConfig, JournalHeader, JournalWriter, Record,
-    RestoreReport,
+    Journal, JournalConfig, JournalHeader, JournalWriter, Record, RestoreReport,
 };
 pub use page::{KvEntry, PageId, Tier, PAGE_TOKENS_DEFAULT};
 pub use store::{

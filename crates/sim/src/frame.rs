@@ -2,31 +2,32 @@
 //!
 //! One framing discipline runs through every byte stream in Symphony — the
 //! KVFS journal (`SYMJ`), the kernel write-ahead log (`SYMW`) and the RPC
-//! wire protocol (`SYMR`) all append and walk frames through this module,
-//! so the checksum, the length prefix and the torn-tail rules can never
-//! drift apart between them. Each consumer brings its own magic header and
-//! tag space; the codec is agnostic to both.
+//! wire protocol (`SYMR`) all encode and read frames through this module,
+//! so the checksum and the length prefix can never drift apart between
+//! them. The two on-disk logs share the rest of their format too — header,
+//! prefix walk, torn-tail rules and file handling — in [`crate::log`].
+//! Each consumer brings its own tag space; the codec is agnostic to it.
 //!
 //! * the CRC is FNV-1a (32-bit) over tag + payload;
 //! * all integers are little-endian;
-//! * a *torn* tail is any trailing byte run that does not form a complete,
-//!   checksummed frame — readers keep the longest valid prefix;
-//! * a clean cut at a frame boundary is indistinguishable from a finished
-//!   log, and is deliberately *not* reported as torn.
+//! * [`next_frame`] returns `None` on a short or corrupt frame, which is
+//!   how a reader finds a torn tail.
 
 /// 32-bit FNV-1a over `bytes` (offset basis `0x811c9dc5`, prime
 /// `0x01000193`). Not cryptographic: it detects torn and bit-flipped
 /// frames, not an adversary.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
+pub const fn fnv1a(bytes: &[u8]) -> u32 {
     fnv1a_extend(0x811c_9dc5, bytes)
 }
 
 /// Continues an FNV-1a `hash` over `bytes`: hashing two pieces in turn
 /// equals hashing their concatenation, without building it.
-fn fnv1a_extend(mut hash: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        hash ^= u32::from(b);
+const fn fnv1a_extend(mut hash: u32, bytes: &[u8]) -> u32 {
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u32;
         hash = hash.wrapping_mul(0x0100_0193);
+        i += 1;
     }
     hash
 }
@@ -44,25 +45,15 @@ pub fn append_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 }
 
 /// The CRC a valid frame with this tag and payload must carry.
-pub fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
+pub const fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
     fnv1a_extend(fnv1a(&[tag]), payload)
 }
 
-/// Walks raw frames from the start of `bytes`, returning the longest valid
-/// `(tag, payload)` prefix and whether a torn tail followed it (leftover
-/// bytes that do not form a complete, checksummed frame). There is no
-/// header and no terminator at this layer: an append-only log that is
-/// still being written is simply "torn" at its live tail.
-pub fn read_frames(bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, bool) {
-    let mut c = Cursor::new(bytes);
-    let mut frames = Vec::new();
-    loop {
-        let mark = c.pos();
-        match next_frame(&mut c) {
-            Some((tag, payload)) => frames.push((tag, payload.to_vec())),
-            None => return (frames, mark != bytes.len()),
-        }
-    }
+/// The complete frame for `tag` with an empty payload, built at compile
+/// time: a log's terminator (see [`crate::log::Format::terminator`]).
+pub const fn empty_frame(tag: u8) -> [u8; FRAME_OVERHEAD] {
+    let crc = frame_crc(tag, &[]).to_le_bytes();
+    [tag, 0, 0, 0, 0, crc[0], crc[1], crc[2], crc[3]]
 }
 
 /// Reads one `[tag][len][payload][crc]` frame, verifying the checksum.
@@ -165,14 +156,28 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// Every whole frame from the start of `bytes`, and whether bytes that
+    /// do not form one followed them.
+    fn frames(bytes: &[u8]) -> (Vec<(u8, &[u8])>, bool) {
+        let mut c = Cursor::new(bytes);
+        let mut out = Vec::new();
+        loop {
+            let mark = c.pos();
+            match next_frame(&mut c) {
+                Some(frame) => out.push(frame),
+                None => return (out, mark != bytes.len()),
+            }
+        }
+    }
+
     #[test]
     fn round_trips_frames() {
         let mut buf = Vec::new();
         append_frame(&mut buf, 7, b"hello");
         append_frame(&mut buf, 9, b"");
-        let (frames, torn) = read_frames(&buf);
+        let (got, torn) = frames(&buf);
         assert!(!torn);
-        assert_eq!(frames, vec![(7, b"hello".to_vec()), (9, Vec::new())]);
+        assert_eq!(got, vec![(7, &b"hello"[..]), (9, &b""[..])]);
     }
 
     #[test]
@@ -182,15 +187,15 @@ mod tests {
         append_frame(&mut buf, 2, b"defg");
         let first_len = FRAME_OVERHEAD + 3;
         for cut in 0..=buf.len() {
-            let (frames, torn) = read_frames(&buf[..cut]);
+            let (got, torn) = frames(&buf[..cut]);
             if cut < first_len {
-                assert!(frames.is_empty());
+                assert!(got.is_empty());
                 assert_eq!(torn, cut != 0, "cut={cut}");
             } else if cut < buf.len() {
-                assert_eq!(frames.len(), 1, "cut={cut}");
+                assert_eq!(got, vec![(1, &b"abc"[..])], "cut={cut}");
                 assert_eq!(torn, cut != first_len, "cut={cut}");
             } else {
-                assert_eq!(frames.len(), 2);
+                assert_eq!(got.len(), 2);
                 assert!(!torn);
             }
         }
@@ -203,8 +208,8 @@ mod tests {
         append_frame(&mut buf, 2, b"def");
         let flip = FRAME_OVERHEAD + 3 + 2; // inside the second frame's header
         buf[flip] ^= 0xff;
-        let (frames, torn) = read_frames(&buf);
-        assert_eq!(frames.len(), 1);
+        let (got, torn) = frames(&buf);
+        assert_eq!(got.len(), 1);
         assert!(torn);
     }
 
@@ -243,5 +248,8 @@ mod tests {
         let mut buf = Vec::new();
         append_frame(&mut buf, 7, b"hello");
         assert_eq!(buf[buf.len() - 4..], 0xea7b_9d96_u32.to_le_bytes());
+        let mut empty = Vec::new();
+        append_frame(&mut empty, 9, b"");
+        assert_eq!(empty, empty_frame(9));
     }
 }

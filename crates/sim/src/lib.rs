@@ -11,6 +11,12 @@
 //! - **Scale.** Load sweeps far beyond wall-clock limits execute in
 //!   milliseconds because GPU batches are *timed analytically*, not executed.
 //!
+//! It also holds the byte formats the rest of the workspace persists or
+//! sends: [`frame`], the checksummed frame codec under every log and the
+//! RPC wire, and [`log`], the one append-only log discipline (header,
+//! prefix walk, torn-tail cut, buffered appends, compaction) that the KVFS
+//! journal and the kernel WAL both run on.
+//!
 //! The crate deliberately has no dependency on the rest of the workspace.
 //!
 //! # Examples
@@ -29,6 +35,7 @@
 pub mod dist;
 pub mod events;
 pub mod frame;
+pub mod log;
 pub mod retry;
 pub mod rng;
 pub mod slab;
@@ -40,5 +47,5 @@ pub use events::EventQueue;
 pub use retry::RetryPolicy;
 pub use rng::Rng;
 pub use slab::IdSlab;
-pub use stats::{Histogram, OnlineStats, Series};
+pub use stats::Series;
 pub use time::{SimDuration, SimTime};
