@@ -18,7 +18,7 @@
 
 use serde::Serialize;
 use symphony::{BatchPolicy, Kernel, KernelConfig, SimDuration, SimTime, SysError};
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
+use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng};
 
 const PROMPT_TOKENS: usize = 48;
@@ -116,7 +116,7 @@ fn main() {
     ];
     let loads = [10.0, 40.0, 150.0, 600.0];
 
-    let opts = TelemetryOpts::from_args();
+    let opts = ExpArgs::from_args().telemetry;
     let designated_load = *loads.last().expect("non-empty");
     let mut results = Vec::new();
     let mut captured: Option<symphony::MetricsSnapshot> = None;

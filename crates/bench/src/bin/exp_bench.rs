@@ -18,15 +18,18 @@
 //! Run: `cargo run -p symphony-bench --release --bin exp_bench [-- --smoke]`
 //! Gate: `... --bin exp_bench -- --smoke --check results/BENCH_tier1.json`
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
+use serde_json::Value;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
     BatchPolicy, ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig, MlfqConfig, Mode,
     ProgramQueue, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
 };
-use symphony_bench::Table;
+use symphony_bench::{ExpArgs, Table};
 use symphony_kvfs::{KvEntry, KvStore, KvStoreConfig, OwnerId};
 use symphony_sim::{EventQueue, Rng};
 
@@ -489,24 +492,28 @@ fn time_macro(name: &str, runs: usize, f: impl Fn() -> MacroRun) -> MacroResult 
 /// run can coexist in the checked-in baseline.
 const SCHEMA: &str = "symphony-bench-tier1/v1";
 
-fn merge_and_write(path: &std::path::Path, mode: &str, results: &ModeResults) {
-    // Preserve the other mode's section if the file already holds one.
-    // (Hand-rolled extraction: the vendored serde has no Deserialize.)
+/// The report `existing` becomes with `modes.<mode>` set to `section`:
+/// other modes' sections are kept; an absent or unreadable report starts
+/// afresh.
+fn merge_report(existing: Option<&str>, mode: &str, section: Value) -> String {
+    let mut modes = match existing.map(serde_json::from_str::<Value>) {
+        Some(Ok(Value::Object(mut doc))) => match doc.remove("modes") {
+            Some(Value::Object(modes)) => modes,
+            _ => BTreeMap::new(),
+        },
+        _ => BTreeMap::new(),
+    };
+    modes.insert(mode.to_string(), section);
+    let doc = Value::Object(BTreeMap::from([
+        ("schema".to_string(), Value::String(SCHEMA.to_string())),
+        ("modes".to_string(), Value::Object(modes)),
+    ]));
+    serde_json::to_string_pretty(&doc).expect("serialisable") + "\n"
+}
+
+fn merge_and_write(path: &Path, mode: &str, section: Value) {
     let existing = std::fs::read_to_string(path).ok();
-    let other_mode = if mode == "full" { "smoke" } else { "full" };
-    let other_section = existing.as_deref().and_then(|s| extract_mode_section(s, other_mode));
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\n  \"modes\": {\n");
-    out.push_str(&format!("    \"{mode}\": "));
-    out.push_str(&indent_json(&serde_json::to_string_pretty(results).expect("serialisable"), 4));
-    if let Some(other) = other_section {
-        out.push_str(",\n");
-        out.push_str(&format!("    \"{other_mode}\": "));
-        out.push_str(&other);
-    }
-    out.push_str("\n  }\n}\n");
+    let out = merge_report(existing.as_deref(), mode, section);
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).ok();
     }
@@ -516,133 +523,87 @@ fn merge_and_write(path: &std::path::Path, mode: &str, results: &ModeResults) {
     }
 }
 
-fn indent_json(s: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    s.lines()
-        .enumerate()
-        .map(|(i, l)| if i == 0 { l.to_string() } else { format!("{pad}{l}") })
-        .collect::<Vec<_>>()
-        .join("\n")
+/// What the gate compares in one mode section: each scenario's throughput
+/// (micro `ops_per_sec`, macro `events_per_sec`) and the calibration
+/// ops/sec they are normalized by. The calibration entry is the
+/// denominator, not a scenario.
+#[derive(Debug, Clone, PartialEq)]
+struct Rates {
+    calibration: f64,
+    scenarios: Vec<(String, f64)>,
 }
 
-/// Pulls the raw JSON text of `modes.<mode>` out of a report, by brace
-/// matching from the key (good enough for our own serializer's output).
-fn extract_mode_section(s: &str, mode: &str) -> Option<String> {
-    let key = format!("\"{mode}\":");
-    let start = s.find(&key)? + key.len();
-    let open = s[start..].find('{')? + start;
-    let mut depth = 0usize;
-    for (i, c) in s[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(s[open..=open + i].to_string());
+impl Rates {
+    /// Reads a [`ModeResults`]-shaped section, naming the first entry that
+    /// lacks a field.
+    fn from_section(section: &Value) -> Result<Rates, String> {
+        let calibration = section
+            .get("calibration_ops_per_sec")
+            .and_then(Value::as_f64)
+            .ok_or("no calibration_ops_per_sec")?;
+        let mut scenarios = Vec::new();
+        for (list, rate_key) in [("micro", "ops_per_sec"), ("macro", "events_per_sec")] {
+            let entries = section
+                .get(list)
+                .and_then(Value::as_array)
+                .ok_or_else(|| format!("no '{list}' list"))?;
+            for (i, entry) in entries.iter().enumerate() {
+                let name = entry
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .ok_or_else(|| format!("{list}[{i}] has no name"))?;
+                let rate = entry
+                    .get(rate_key)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("{list} entry '{name}' has no {rate_key}"))?;
+                if name != "calibration" {
+                    scenarios.push((name.to_string(), rate));
                 }
             }
-            _ => {}
         }
+        Ok(Rates {
+            calibration,
+            scenarios,
+        })
     }
-    None
-}
 
-/// Reads `name: value` pairs out of a baseline section with a tolerant
-/// hand-rolled scan (vendored serde is serialize-only). Returns
-/// `(scenario name, ops_per_sec or events_per_sec, calibration)`.
-fn parse_baseline(path: &std::path::Path, mode: &str) -> Option<(Vec<(String, f64)>, f64)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let section = extract_mode_section(&text, mode)?;
-    let calibration = find_number(&section, "\"calibration_ops_per_sec\":")?;
-    // Scenario entries are the flat depth-2 objects of the section (the
-    // section itself is depth 1; `micro`/`macro` array elements sit at 2).
-    // Bounding both the name and the rate search to one entry's braces
-    // keeps the pairing correct whatever order the serializer emits keys
-    // or sections in.
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, b) in section.bytes().enumerate() {
-        match b {
-            b'{' => {
-                depth += 1;
-                if depth == 2 {
-                    start = Some(i);
-                }
-            }
-            b'}' => {
-                if depth == 2 {
-                    if let Some(s0) = start.take() {
-                        let span = &section[s0..=i];
-                        if let Some(name) = find_string(span, "\"name\":") {
-                            let rate = find_number(span, "\"ops_per_sec\":")
-                                .or_else(|| find_number(span, "\"events_per_sec\":"))?;
-                            out.push((name, rate));
-                        }
-                    }
-                }
-                depth = depth.saturating_sub(1);
-            }
-            _ => {}
-        }
+    /// Reads `modes.<mode>` of a `BENCH_tier1.json` report.
+    fn from_report(text: &str, mode: &str) -> Result<Rates, String> {
+        let doc = serde_json::from_str::<Value>(text).map_err(|e| e.to_string())?;
+        let section = doc
+            .get("modes")
+            .and_then(|modes| modes.get(mode))
+            .ok_or_else(|| format!("no '{mode}' section"))?;
+        Rates::from_section(section).map_err(|e| format!("'{mode}' section: {e}"))
     }
-    Some((out, calibration))
-}
-
-fn find_string(s: &str, key: &str) -> Option<String> {
-    let idx = s.find(key)? + key.len();
-    let tail = &s[idx..];
-    let q1 = tail.find('"')?;
-    let q2 = tail[q1 + 1..].find('"')? + q1 + 1;
-    Some(tail[q1 + 1..q2].to_string())
-}
-
-fn find_number(s: &str, key: &str) -> Option<f64> {
-    let idx = s.find(key)? + key.len();
-    let tail = s[idx..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// The regression gate: compares fresh calibration-normalized throughput
-/// against the baseline's, failing on a drop beyond [`GATE_TOLERANCE`].
-fn check_against(baseline: &std::path::Path, mode: &str, fresh: &ModeResults) -> Result<(), String> {
-    let (base, base_cal) = parse_baseline(baseline, mode)
-        .ok_or_else(|| format!("no '{mode}' section in {}", baseline.display()))?;
-    let fresh_cal = fresh.calibration_ops_per_sec;
-    let mut fresh_rates: Vec<(String, f64)> = fresh
-        .micro
-        .iter()
-        .map(|m| (m.name.clone(), m.ops_per_sec))
-        .collect();
-    fresh_rates.extend(fresh.r#macro.iter().map(|m| (m.name.clone(), m.events_per_sec)));
+/// against the baseline's, failing on a drop beyond [`GATE_TOLERANCE`] or a
+/// baseline scenario the fresh run lacks.
+fn check_against(base: &Rates, fresh: &Rates) -> Result<(), String> {
     let mut failures = Vec::new();
     let mut compared = 0;
-    for (name, base_rate) in &base {
-        if name == "calibration" {
-            continue;
-        }
-        let Some((_, fresh_rate)) = fresh_rates.iter().find(|(n, _)| n == name) else {
+    for (name, base_rate) in &base.scenarios {
+        let Some((_, fresh_rate)) = fresh.scenarios.iter().find(|(n, _)| n == name) else {
             failures.push(format!("scenario '{name}' missing from this run"));
             continue;
         };
-        let base_norm = base_rate / base_cal;
-        let fresh_norm = fresh_rate / fresh_cal;
+        let base_norm = base_rate / base.calibration;
+        let fresh_norm = fresh_rate / fresh.calibration;
         let ratio = fresh_norm / base_norm;
         compared += 1;
         eprintln!("gate: {name}: {:.2}x of baseline (normalized)", ratio);
         if ratio < 1.0 - GATE_TOLERANCE {
             failures.push(format!(
-                "{name} regressed to {:.0}% of baseline (normalized {:.3} vs {:.3})",
+                "{name} regressed to {:.0}% of baseline (normalized {:.3e} vs {:.3e})",
                 ratio * 100.0,
                 fresh_norm,
                 base_norm
             ));
         }
     }
-    if compared == 0 {
+    if compared == 0 && failures.is_empty() {
         return Err("baseline held no comparable scenarios".into());
     }
     if failures.is_empty() {
@@ -654,20 +615,16 @@ fn check_against(baseline: &std::path::Path, mode: &str, fresh: &ModeResults) ->
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = ExpArgs::from_args().smoke;
     let mode = if smoke { "smoke" } else { "full" };
-    let check: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    let out: std::path::PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results/BENCH_tier1.json"));
+    // `--check <baseline>` and `--out <path>` belong to this binary alone.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path_after = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1).map(PathBuf::from)
+    };
+    let check = path_after("--check");
+    let out = path_after("--out").unwrap_or_else(|| PathBuf::from("results/BENCH_tier1.json"));
 
     // Scale factors: smoke keeps CI latency low, full is the trajectory run.
     let (eq_rounds, kv_rounds, sd_rounds, j_rounds) = if smoke {
@@ -729,10 +686,143 @@ fn main() {
         r#macro: macros,
     };
 
-    let gate = check.map(|baseline| check_against(&baseline, mode, &results));
-    merge_and_write(&out, mode, &results);
+    let section = serde_json::to_value(&results).expect("serialisable");
+    let gate = check.map(|baseline| {
+        let fresh = Rates::from_section(&section).expect("own results are well-formed");
+        std::fs::read_to_string(&baseline)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Rates::from_report(&text, mode))
+            .map_err(|e| format!("{}: {e}", baseline.display()))
+            .and_then(|base| check_against(&base, &fresh))
+    });
+    merge_and_write(&out, mode, section);
     if let Some(Err(msg)) = gate {
         eprintln!("BENCH gate FAILED: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = include_str!("../../../../results/BENCH_tier1.json");
+
+    fn smoke() -> Rates {
+        Rates::from_report(BASELINE, "smoke").expect("checked-in smoke section")
+    }
+
+    #[test]
+    fn checked_in_baseline_parses_to_the_gated_scenarios() {
+        let smoke = smoke();
+        assert_eq!(smoke.calibration, 761333095.0106968);
+        let pinned = [
+            ("event_queue", 18299691.03158655),
+            ("kvfs_ops", 5685745.155119098),
+            ("sched_dispatch", 128053714.2646769),
+            ("journal_roundtrip", 258829362.14646995),
+            ("agent_fleet", 17848.557223032225),
+            ("rag", 29845.052616112687),
+        ];
+        assert_eq!(
+            smoke.scenarios,
+            pinned.map(|(n, r)| (n.to_string(), r)).to_vec()
+        );
+        let full = Rates::from_report(BASELINE, "full").expect("checked-in full section");
+        let names = |r: &Rates| {
+            r.scenarios
+                .iter()
+                .map(|(n, _)| n.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&full), names(&smoke));
+    }
+
+    #[test]
+    fn normalized_drop_fails_naming_the_scenario() {
+        let base = smoke();
+        assert_eq!(check_against(&base, &base), Ok(()));
+        let mut fresh = base.clone();
+        fresh.scenarios[4].1 *= 0.75;
+        let err = check_against(&base, &fresh).expect_err("a 25% drop fails");
+        assert_eq!(
+            err,
+            "agent_fleet regressed to 75% of baseline (normalized 1.758e-5 vs 2.344e-5)"
+        );
+    }
+
+    #[test]
+    fn uniform_host_slowdown_passes() {
+        let base = smoke();
+        let fresh = Rates {
+            calibration: base.calibration * 0.5,
+            scenarios: base
+                .scenarios
+                .iter()
+                .map(|(n, r)| (n.clone(), r * 0.5))
+                .collect(),
+        };
+        assert_eq!(check_against(&base, &fresh), Ok(()));
+    }
+
+    #[test]
+    fn baseline_scenario_missing_from_the_run_fails() {
+        let base = smoke();
+        let mut fresh = base.clone();
+        fresh.scenarios.retain(|(n, _)| n != "kvfs_ops");
+        assert_eq!(
+            check_against(&base, &fresh),
+            Err("scenario 'kvfs_ops' missing from this run".to_string())
+        );
+    }
+
+    #[test]
+    fn entry_without_a_rate_is_named() {
+        let text = BASELINE.replacen("\"events_per_sec\"", "\"events_per_min\"", 1);
+        assert_eq!(
+            Rates::from_report(&text, "smoke"),
+            Err("'smoke' section: macro entry 'agent_fleet' has no events_per_sec".to_string())
+        );
+        assert_eq!(
+            Rates::from_report(BASELINE, "tiny"),
+            Err("no 'tiny' section".to_string())
+        );
+    }
+
+    #[test]
+    fn merge_write_keeps_the_other_mode() {
+        let results = ModeResults {
+            calibration_ops_per_sec: 1e9,
+            micro: vec![MicroResult {
+                name: "calibration".to_string(),
+                ops: 1_000,
+                wall_ms: 0.001,
+                ops_per_sec: 1e9,
+            }],
+            r#macro: Vec::new(),
+        };
+        let section = serde_json::to_value(&results).expect("serialisable");
+        assert_eq!(
+            Rates::from_section(&section),
+            Ok(Rates {
+                calibration: 1e9,
+                scenarios: Vec::new()
+            })
+        );
+        let old = serde_json::from_str::<Value>(BASELINE).expect("baseline parses");
+        let merged = merge_report(Some(BASELINE), "smoke", section.clone());
+        let doc = serde_json::from_str::<Value>(&merged).expect("merged report parses");
+        let modes = doc.get("modes").expect("modes");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(modes.get("smoke"), Some(&section));
+        assert_eq!(
+            modes.get("full"),
+            old.get("modes").and_then(|m| m.get("full"))
+        );
+        // No earlier report: only this run's mode.
+        let alone = serde_json::from_str::<Value>(&merge_report(None, "full", section.clone()))
+            .expect("fresh report parses");
+        let only_full = Value::Object(BTreeMap::from([("full".to_string(), section)]));
+        assert_eq!(alone.get("modes"), Some(&only_full));
     }
 }

@@ -28,7 +28,7 @@ use symphony::{
     BreakerPolicy, FaultPlan, Kernel, KernelConfig, Limits, RetryPolicy, SimDuration, SysError,
     ToolOutcome, ToolSpec,
 };
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
+use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 
 const AGENTS: usize = 24;
 const CALLS_PER_AGENT: usize = 4;
@@ -141,7 +141,7 @@ fn run_cell(
 }
 
 fn main() {
-    let opts = TelemetryOpts::from_args();
+    let opts = ExpArgs::from_args().telemetry;
     let policies = ["no-retry", "retry4", "retry4+breaker"];
     let rates = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let designated_rate = 0.2; // mid-sweep: faults fire, goodput still high

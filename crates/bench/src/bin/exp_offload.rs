@@ -11,7 +11,7 @@
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec};
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
+use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 
 const AGENTS: usize = 6;
 const AGENT_CONTEXT_TOKENS: usize = 3_000;
@@ -160,7 +160,7 @@ fn run_point(
 }
 
 fn main() {
-    let opts = TelemetryOpts::from_args();
+    let opts = ExpArgs::from_args().telemetry;
     let mut table = Table::new(
         "E6 — KV offload on I/O wait (6 agents x 3000-token contexts, 3s tool)",
         &["offload", "tier", "agent lat", "bg lat", "bg failures", "swapped", "disk spill"],

@@ -37,7 +37,7 @@ use symphony::{
     Kernel, KernelConfig, MetricsSnapshot, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
     SysError, ToolOutcome, ToolSpec, PHASES,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
+use symphony_bench::{tokens, write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng, Series};
 
 #[derive(Debug, Clone, Copy)]
@@ -134,13 +134,6 @@ struct Point {
     min_coverage: f64,
     spans: usize,
     events_dropped: u64,
-}
-
-/// Deterministic synthetic token stream (stands in for tokenised text).
-fn tokens(seed: usize, n: usize, start_pos: u32) -> Vec<(u32, u32)> {
-    (0..n)
-        .map(|j| (1 + ((seed * 31 + j * 7) % 800) as u32, start_pos + j as u32))
-        .collect()
 }
 
 /// One fleet worker: prefill a plan, fetch evidence on a helper thread

@@ -31,7 +31,7 @@ use symphony::{
     ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig, MlfqConfig, QueueDiscipline,
     SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
+use symphony_bench::{tokens, write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng, Series};
 
 #[derive(Debug, Clone, Copy)]
@@ -106,13 +106,6 @@ struct Point {
     preemptions: u64,
     prefill_chunks: u64,
     batches: u64,
-}
-
-/// Deterministic synthetic token stream (stands in for tokenised text).
-fn tokens(seed: usize, n: usize, start_pos: u32) -> Vec<(u32, u32)> {
-    (0..n)
-        .map(|j| (1 + ((seed * 31 + j * 7) % 800) as u32, start_pos + j as u32))
-        .collect()
 }
 
 fn join_ns(v: &[u64]) -> String {

@@ -27,7 +27,7 @@
 
 use serde::Serialize;
 use symphony::{KernelConfig, SimDuration};
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table};
+use symphony_bench::{ms, write_json_with_metrics, ExpArgs, Table};
 use symphony_serve::replay::{run_replay_on, standard_kernel};
 use symphony_serve::{ReplaySpec, ServeConfig, ServerCore, WorkloadKind};
 
@@ -44,10 +44,6 @@ struct Row {
     latency_p50_ms: f64,
     latency_p99_ms: f64,
     streamed_tokens: u64,
-}
-
-fn ms(ns: Option<u64>) -> f64 {
-    ns.map(|n| n as f64 / 1e6).unwrap_or(f64::NAN)
 }
 
 fn run_cell(

@@ -20,7 +20,7 @@ use symphony::sampling::{generate, GenOpts};
 use symphony::{
     Ctx, Kernel, KernelConfig, MetricsSnapshot, SimDuration, SysError, ToolOutcome, ToolSpec,
 };
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
+use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 
 const RTT: SimDuration = SimDuration::from_millis(40);
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
@@ -133,7 +133,7 @@ fn run_mode(
 }
 
 fn main() {
-    let opts = TelemetryOpts::from_args();
+    let opts = ExpArgs::from_args().telemetry;
     let modes = ["server-lip", "client-stateful", "client-prompt"];
     let call_counts = [1usize, 2, 4, 8, 16];
     let designated_calls = *call_counts.last().expect("non-empty");

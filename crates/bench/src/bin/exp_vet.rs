@@ -26,7 +26,7 @@ use serde::Serialize;
 use symphony::{
     ContinuousConfig, ExecMode, KernelConfig, MlfqConfig, QueueDiscipline, SimDuration,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table};
+use symphony_bench::{ms, write_json_with_metrics, ExpArgs, Table};
 use symphony_serve::replay::{run_replay_on, standard_kernel};
 use symphony_serve::{ReplaySpec, ServeConfig, ServerCore, WorkloadKind};
 
@@ -43,10 +43,6 @@ struct Row {
     short_p99_ms: f64,
     long_p99_ms: f64,
     cost_hints: u64,
-}
-
-fn ms(ns: Option<u64>) -> f64 {
-    ns.map(|n| n as f64 / 1e6).unwrap_or(f64::NAN)
 }
 
 fn counter(core: &ServerCore, name: &str) -> u64 {

@@ -53,14 +53,7 @@ pub struct TelemetryOpts {
 
 impl TelemetryOpts {
     /// Parses `--trace <path>` (or `--trace=<path>`) and `--metrics` from
-    /// `std::env::args()`, ignoring unrelated arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        TelemetryOpts::from_slice(&args)
-    }
-
-    /// Parses from an explicit argument slice (testable form of
-    /// [`TelemetryOpts::from_args`]).
+    /// an argument slice, ignoring unrelated arguments.
     pub fn from_slice(args: &[String]) -> Self {
         let mut opts = TelemetryOpts::default();
         let mut i = 0;
@@ -119,17 +112,6 @@ impl TelemetryOpts {
                 }
             }
             Err(e) => eprintln!("warn: create {}: {e}", path.display()),
-        }
-    }
-
-    /// The metrics snapshot to fold into the report: `snap` when
-    /// `--metrics` was given, `None` otherwise (legacy byte-identical
-    /// report).
-    pub fn report_metrics<'a>(&self, snap: &'a MetricsSnapshot) -> Option<&'a MetricsSnapshot> {
-        if self.metrics {
-            Some(snap)
-        } else {
-            None
         }
     }
 

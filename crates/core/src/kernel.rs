@@ -1573,11 +1573,6 @@ impl Kernel {
         &self.store
     }
 
-    /// Admin access to the KV store for setup/inspection.
-    pub fn store_mut(&mut self) -> &mut KvStore {
-        &mut self.store
-    }
-
     /// LIP threads that are still alive (blocked or runnable).
     pub fn live_threads(&self) -> usize {
         self.live_threads

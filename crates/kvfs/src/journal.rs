@@ -11,7 +11,7 @@
 //! the whole restore — the truncate-and-continue recovery of append-only
 //! stores like diskomap.
 //!
-//! [`crate::store::KvStore::snapshot_to_journal`] serialises a store as a
+//! [`crate::store::KvStore::journal_bytes`] serialises a store as a
 //! record sequence (pages, file metadata, links, quotas, pool state);
 //! [`crate::store::KvStore::restore_from_journal`] replays any record
 //! sequence — snapshot or incremental appends of page writes, truncates,

@@ -18,7 +18,7 @@
 //! - **Quotas**: per-owner page budgets so one tenant cannot exhaust HBM.
 //! - **Journal** ([`journal`]): an append-only, checksummed record format
 //!   that persists the store across process restarts
-//!   ([`store::KvStore::snapshot_to_journal`] /
+//!   ([`store::KvStore::journal_bytes`] /
 //!   [`store::KvStore::restore_from_journal`]), with truncate-and-continue
 //!   recovery from torn tail records. See `docs/KVFS.md`.
 //!

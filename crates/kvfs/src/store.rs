@@ -326,11 +326,6 @@ impl KvStore {
         self.pool.gpu_used()
     }
 
-    /// GPU page capacity.
-    pub fn gpu_pages_capacity(&self) -> usize {
-        self.pool.gpu_capacity()
-    }
-
     /// Free GPU pages.
     pub fn gpu_pages_free(&self) -> usize {
         self.pool.gpu_capacity() - self.pool.gpu_used()
@@ -341,19 +336,9 @@ impl KvStore {
         self.pool.cpu_used()
     }
 
-    /// CPU page capacity.
-    pub fn cpu_pages_capacity(&self) -> usize {
-        self.pool.cpu_capacity()
-    }
-
     /// Disk pages in use.
     pub fn disk_pages_used(&self) -> usize {
         self.pool.disk_used()
-    }
-
-    /// Disk page capacity (0 when the disk tier is disabled).
-    pub fn disk_pages_capacity(&self) -> usize {
-        self.pool.disk_capacity()
     }
 
     /// Total live pages across all tiers.
@@ -1255,11 +1240,6 @@ impl KvStore {
         self.counters.journal_frames_quota.set(quotas);
         self.counters.journal_frames_pool_state.set(1);
         bytes
-    }
-
-    /// Writes the journal snapshot to a file.
-    pub fn snapshot_to_journal(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.journal_bytes())
     }
 
     /// Restores a store from a journal file. I/O errors surface as

@@ -33,22 +33,6 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// Llama-2 7B.
-    pub fn llama_7b() -> Self {
-        ModelConfig {
-            name: "llama-7b",
-            params: 6.7e9,
-            num_layers: 32,
-            hidden_size: 4096,
-            num_heads: 32,
-            num_kv_heads: 32,
-            head_dim: 128,
-            vocab_size: 32_000,
-            dtype_bytes: 2,
-            mean_output_tokens: 128,
-        }
-    }
-
     /// Llama-2 13B — the model used in the paper's Figure 3.
     pub fn llama_13b() -> Self {
         ModelConfig {

@@ -76,17 +76,6 @@ impl EventBus {
         }
     }
 
-    /// Builds a bus around an explicit collector.
-    pub fn with_collector(collector: Collector) -> Self {
-        EventBus {
-            collector,
-            constructed: 0,
-            capacity: None,
-            dropped: 0,
-            drop_counter: None,
-        }
-    }
-
     /// Replaces the collector, returning the old one.
     pub fn set_collector(&mut self, collector: Collector) -> Collector {
         std::mem::replace(&mut self.collector, collector)
