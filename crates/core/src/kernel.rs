@@ -15,18 +15,44 @@
 //! The telemetry bus is the kernel's only event record. With
 //! [`KernelConfig::telemetry`] on it records every event, causal edges
 //! included; with it off no event is constructed at all.
+//!
+//! # Process lifecycle
+//!
+//! A pid enters the process table in one function, `Kernel::admit`. Every
+//! public spawn and schedule call goes through it, and so does every
+//! recovery path: re-execution, a re-scheduled arrival, a restored exit and
+//! a lost image. `Proc::durable` is the only record of whether a process
+//! journals its effects. A process's last thread exit runs
+//! `finalize_process`. The structures keyed by pid or tid, and when each
+//! entry goes away:
+//!
+//! - `records`: a `ProcessRecord` per admitted pid, kept after exit as the
+//!   history behind [`Kernel::records`]. Never pruned.
+//! - `procs`: a `Proc` per pid admitted live, marked `finished` at
+//!   finalize. Never removed.
+//! - `names`: name → unfinished pids. A pid is inserted at admission and
+//!   removed at finalize; `lookup_process` answers the highest.
+//! - `threads`: a `ThreadState` per tid, kept after exit so `join` can
+//!   read the status. Never removed.
+//! - `cqueue` hints: per-pid MLFQ service and static cost hints, dropped
+//!   at finalize.
+//! - store quotas: one per pid admitted with `Limits::kv_quota_pages`.
+//!   Never removed.
+//! - pending `DeadlineCheck` events: one per pid with a deadline, queued
+//!   at admission. It stays in the event queue until it fires, and does
+//!   nothing once the process has finished.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use symphony_gpu::{DeviceSpec, ExecError, GpuExecutor, GpuMetrics, PredRequest};
+use symphony_gpu::{DeviceSpec, ExecError, GpuExecutor, GpuMetrics, PredRequest, PredResult};
 use symphony_kvfs::{
     FileId, KvError, KvStats, KvStore, KvStoreConfig, Mode, OwnerId, Residency, RestoreReport,
     SwapReport,
 };
 use symphony_model::surrogate::VocabInfo;
-use symphony_model::{ModelConfig, Surrogate, TokenId};
+use symphony_model::{Dist, ModelConfig, Surrogate, TokenId};
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, percent_bounds,
@@ -279,6 +305,16 @@ struct Proc {
     durable: bool,
 }
 
+/// What [`Kernel::admit`] enters into the process table.
+enum Admit {
+    /// A process that will run: spawned, scheduled, or re-admitted by
+    /// recovery. A durable one journals its spawn and effects.
+    Live { limits: Limits, durable: bool },
+    /// An outcome recovery already knows: journalled as exited, or lost
+    /// because the program's image did not resolve.
+    Exited(wal::ReplayExit),
+}
+
 struct PendingPred {
     tid: Tid,
     req: PredRequest,
@@ -421,7 +457,11 @@ pub struct Kernel {
     procs: IdSlab<Proc>,
     next_pid: u64,
     records: IdSlab<ProcessRecord>,
-    names: BTreeMap<String, Pid>,
+    /// Unfinished processes by name (see "Process lifecycle").
+    names: BTreeMap<String, BTreeSet<Pid>>,
+    /// Processes finalized since boot; [`Kernel::run`] reports the
+    /// difference across one call.
+    exited: usize,
     live_threads: usize,
     // Plumbing.
     up_tx: Sender<UpCall>,
@@ -452,8 +492,6 @@ pub struct Kernel {
     /// Journalled state being replayed after `recover`; consulted by
     /// effectful syscalls to answer from the log instead of re-firing.
     replay: Option<wal::Replay>,
-    /// Pids spawned through the durable API (their effects are journalled).
-    durable_pids: BTreeSet<u64>,
     /// `resume_programs` already ran (it must run at most once).
     programs_resumed: bool,
     /// Syscall boundaries crossed (crash-injection kill-points).
@@ -600,6 +638,7 @@ impl Kernel {
             next_pid: 1,
             records: IdSlab::new(),
             names: BTreeMap::new(),
+            exited: 0,
             live_threads: 0,
             up_tx,
             up_rx,
@@ -634,7 +673,6 @@ impl Kernel {
             kv_journal: None,
             wal: None,
             replay: None,
-            durable_pids: BTreeSet::new(),
             programs_resumed: false,
             syscall_boundaries: 0,
             crashed: None,
@@ -795,9 +833,7 @@ impl Kernel {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        let pid = self.alloc_pid(name, self.events.now(), limits);
-        self.start_process(pid, args.to_string(), Box::new(f), None);
-        pid
+        self.spawn(name, args, limits, false, Box::new(f))
     }
 
     /// Schedules a LIP to arrive at a future virtual time (workload driving).
@@ -805,17 +841,7 @@ impl Kernel {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        let pid = self.alloc_pid(name, at, self.default_limits);
-        self.events.schedule(
-            at,
-            Event::SpawnProgram {
-                pid,
-                args: args.to_string(),
-                f: Box::new(f),
-                main_tid: None,
-            },
-        );
-        pid
+        self.schedule(at, name, args, self.default_limits, false, Box::new(f))
     }
 
     /// Installs an admission-time static cost hint for a program: the
@@ -838,22 +864,8 @@ impl Kernel {
     /// [`Kernel::resume_programs`] can re-execute it deterministically
     /// after a crash. The image must be re-invocable; see [`ProgramImage`].
     pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
-        self.spawn_durable_with_limits(name, args, self.default_limits, image)
-    }
-
-    /// Spawns a durable LIP with explicit limits.
-    pub fn spawn_durable_with_limits(
-        &mut self,
-        name: &str,
-        args: &str,
-        limits: Limits,
-        image: ProgramImage,
-    ) -> Pid {
-        let pid = self.alloc_pid(name, self.events.now(), limits);
-        self.mark_durable(pid);
         let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.start_process(pid, args.to_string(), f, None);
-        pid
+        self.spawn(name, args, self.default_limits, true, f)
     }
 
     /// Schedules a durable LIP for a future virtual arrival. The schedule
@@ -868,76 +880,111 @@ impl Kernel {
         args: &str,
         image: ProgramImage,
     ) -> Pid {
-        self.schedule_durable_with_limits(at, name, args, self.default_limits, image)
+        let f: LipFn = Box::new(move |ctx| image(ctx));
+        self.schedule(at, name, args, self.default_limits, true, f)
     }
 
-    /// Schedules a durable LIP with explicit limits.
-    pub fn schedule_durable_with_limits(
+    // ---- process lifecycle -----------------------------------------------------
+
+    /// Admits a new process and starts its main thread now.
+    fn spawn(&mut self, name: &str, args: &str, limits: Limits, durable: bool, f: LipFn) -> Pid {
+        let pid = self.alloc_pid();
+        self.admit(
+            pid,
+            name,
+            self.events.now(),
+            Admit::Live { limits, durable },
+        );
+        self.start_process(pid, args.to_string(), f, None);
+        pid
+    }
+
+    /// Admits a new process whose main thread starts at `at`. A durable
+    /// schedule pre-assigns the main tid and journals it: recovery
+    /// re-admits the program from that frame and must fork the same
+    /// per-thread RNG stream.
+    fn schedule(
         &mut self,
         at: SimTime,
         name: &str,
         args: &str,
         limits: Limits,
-        image: ProgramImage,
+        durable: bool,
+        f: LipFn,
     ) -> Pid {
-        let pid = self.alloc_pid(name, at, limits);
-        self.mark_durable(pid);
-        // Pre-assign the main tid: recovery re-admits this program from the
-        // journal and must fork the same per-thread RNG stream.
-        let main_tid = Tid(self.next_tid);
-        self.next_tid += 1;
-        self.wal_append(WalRecord::ProcSched {
-            at: self.events.now(),
-            pid: pid.0,
-            main_tid: main_tid.0,
-            arrival: at,
-            durable: true,
-            name: name.to_string(),
-            args: args.to_string(),
-            limits,
-        });
-        let f: LipFn = Box::new(move |ctx| image(ctx));
+        let pid = self.alloc_pid();
+        self.admit(pid, name, at, Admit::Live { limits, durable });
+        let mut main_tid = None;
+        if durable {
+            let tid = Tid(self.next_tid);
+            self.next_tid += 1;
+            self.wal_append(WalRecord::ProcSched {
+                at: self.events.now(),
+                pid: pid.0,
+                main_tid: tid.0,
+                arrival: at,
+                durable: true,
+                name: name.to_string(),
+                args: args.to_string(),
+                limits,
+            });
+            main_tid = Some(tid);
+        }
         self.events.schedule(
             at,
             Event::SpawnProgram {
                 pid,
                 args: args.to_string(),
                 f,
-                main_tid: Some(main_tid),
+                main_tid,
             },
         );
         pid
     }
 
-    fn mark_durable(&mut self, pid: Pid) {
-        if let Some(p) = self.procs.get_mut(pid.0) {
-            p.durable = true;
-        }
-        self.durable_pids.insert(pid.0);
-    }
-
-    fn alloc_pid(&mut self, name: &str, spawned_at: SimTime, limits: Limits) -> Pid {
+    fn alloc_pid(&mut self) -> Pid {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
-        self.records.insert(
-            pid.0,
-            ProcessRecord {
-                pid,
-                name: name.to_string(),
-                spawned_at,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(name.to_string(), pid);
+        pid
+    }
+
+    /// The one place a pid enters the process table: every spawn and
+    /// schedule, and every recovery path, comes through here. A live
+    /// process gets its record, its `names` entry, its store quota, its
+    /// deadline check and its [`Proc`]; an outcome restored by recovery
+    /// gets its final record only.
+    fn admit(&mut self, pid: Pid, name: &str, spawned_at: SimTime, admit: Admit) {
+        let mut record = ProcessRecord {
+            pid,
+            name: name.to_string(),
+            spawned_at,
+            exited_at: None,
+            status: ExitStatus::Ok,
+            output: String::new(),
+            usage: ProcessUsage::default(),
+        };
+        let (limits, durable) = match admit {
+            Admit::Live { limits, durable } => (limits, durable),
+            Admit::Exited(exit) => {
+                record.exited_at = Some(exit.at);
+                record.status = exit.status;
+                record.output = exit.output;
+                record.usage = exit.usage;
+                self.records.insert(pid.0, record);
+                return;
+            }
+        };
+        self.records.insert(pid.0, record);
+        self.names.entry(name.to_string()).or_default().insert(pid);
         if let Some(q) = limits.kv_quota_pages {
             self.store.set_quota(OwnerId(pid.0), Some(q));
         }
         let deadline_at = limits.deadline.map(|d| spawned_at + d);
         if let Some(t) = deadline_at {
-            self.events.schedule(t, Event::DeadlineCheck { pid });
+            // A re-admitted program may already be past its deadline; the
+            // check then fires at the restored clock.
+            self.events
+                .schedule(t.max(self.events.now()), Event::DeadlineCheck { pid });
         }
         self.procs.insert(
             pid.0,
@@ -957,14 +1004,16 @@ impl Kernel {
                 ttft_done: false,
                 last_pred_done: None,
                 seqs: EffectSeqs::default(),
-                durable: false,
+                durable,
             },
         );
-        pid
     }
 
-    fn start_process(&mut self, pid: Pid, args: String, f: LipFn, forced_tid: Option<Tid>) {
-        // `spawn` just inserted the record; a miss would mean the caller
+    /// Starts an admitted process's main thread, under `main_tid` when one
+    /// was pre-assigned. A durable spawn is journalled, except when
+    /// recovery re-executes a program whose spawn frame is already durable.
+    fn start_process(&mut self, pid: Pid, args: String, f: LipFn, main_tid: Option<Tid>) {
+        // `admit` inserted the process; a miss would mean the caller
         // passed a foreign pid. Degrade to a no-op instead of panicking.
         let Some(proc) = self.procs.get_mut(pid.0) else {
             debug_assert!(false, "start_process: unknown pid {}", pid.0);
@@ -977,56 +1026,38 @@ impl Kernel {
             self.bus
                 .emit(at, move || EventKind::ProcessSpawn { pid: pid.0, name });
         }
-        let tid = match forced_tid {
-            Some(t) => self.spawn_thread_with_tid(t, pid, args, f),
-            None => self.spawn_thread(pid, args, f),
+        let tid = self.spawn_thread(pid, args, f, main_tid);
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            return;
         };
-        if let Some(proc) = self.procs.get_mut(pid.0) {
-            proc.main_tid = tid;
-        }
-        // Journal durable spawns, except re-executions of already-journalled
-        // programs during recovery (their spawn frame is already durable).
-        let journal_spawn = self.durable_pids.contains(&pid.0)
-            && !self
-                .replay
-                .as_ref()
-                .is_some_and(|r| r.procs.contains_key(&pid.0));
-        if journal_spawn {
-            let (name, limits) = {
-                let rec = &self.records[pid.0];
-                let limits = self
-                    .procs
-                    .get(pid.0)
-                    .map(|p| p.limits)
-                    .unwrap_or(self.default_limits);
-                (rec.name.clone(), limits)
-            };
-            let args = self
-                .procs
-                .get(pid.0)
-                .map(|p| p.args.clone())
-                .unwrap_or_default();
-            self.wal_append(WalRecord::ProcSpawn {
+        proc.main_tid = tid;
+        let replayed = self
+            .replay
+            .as_ref()
+            .is_some_and(|r| r.procs.contains_key(&pid.0));
+        if proc.durable && !replayed {
+            let rec = WalRecord::ProcSpawn {
                 at: self.events.now(),
                 pid: pid.0,
                 main_tid: tid.0,
                 durable: true,
-                name,
-                args,
-                limits,
-            });
+                name: self.records[pid.0].name.clone(),
+                args: proc.args.clone(),
+                limits: proc.limits,
+            };
+            self.wal_append(rec);
         }
     }
 
-    fn spawn_thread(&mut self, pid: Pid, args: String, f: LipFn) -> Tid {
-        let tid = Tid(self.next_tid);
-        self.next_tid += 1;
-        self.spawn_thread_with_tid(tid, pid, args, f)
-    }
-
-    /// Spawns the LIP thread under a pre-assigned tid (recovery re-admission
-    /// and journalled schedules, where tid identity pins the RNG stream).
-    fn spawn_thread_with_tid(&mut self, tid: Tid, pid: Pid, args: String, f: LipFn) -> Tid {
+    /// Spawns a LIP thread, under `tid` when one is pre-assigned (recovery
+    /// re-admission and journalled schedules, where tid identity pins the
+    /// RNG stream).
+    fn spawn_thread(&mut self, pid: Pid, args: String, f: LipFn, tid: Option<Tid>) -> Tid {
+        let tid = tid.unwrap_or_else(|| {
+            let t = Tid(self.next_tid);
+            self.next_tid += 1;
+            t
+        });
         let (reply_tx, reply_rx) = channel();
         let ctx = Ctx::new(
             tid,
@@ -1105,36 +1136,66 @@ impl Kernel {
         let mut to_skip = replay.recv_counts();
         let (frames, wal_bytes, torn, clock) =
             (replay.frames, replay.wal_bytes, replay.torn, replay.clock);
+        // An unfinished program whose image does not resolve is recorded
+        // as crashed at the restored clock.
+        let crashed = wal::ReplayExit {
+            at: self.events.now(),
+            status: ExitStatus::Crashed,
+            output: String::new(),
+            usage: ProcessUsage::default(),
+        };
         let (mut resumed, mut finished, mut lost) = (0, 0, 0);
-        for (pid, rp) in &procs {
-            match &rp.exit {
-                Some(exit) => {
-                    self.restore_finished(*pid, rp, exit);
-                    finished += 1;
-                }
-                None => match resolve(&rp.name) {
-                    Some(image) => {
-                        self.readmit(*pid, rp, image);
-                        resumed += 1;
-                    }
-                    None => {
-                        self.restore_lost(*pid, &rp.name, rp.spawned_at);
-                        lost += 1;
-                    }
-                },
+        for (pid, rp) in procs {
+            let pid = Pid(pid);
+            if let Some(exit) = rp.exit {
+                // Completed before the crash: its outputs are already
+                // durable, so it is restored as a record only.
+                self.admit(pid, &rp.name, rp.spawned_at, Admit::Exited(exit));
+                finished += 1;
+                continue;
             }
+            let Some(image) = resolve(&rp.name) else {
+                self.admit(pid, &rp.name, rp.spawned_at, Admit::Exited(crashed.clone()));
+                lost += 1;
+                continue;
+            };
+            // Re-execute under the original pid and main tid, so the
+            // program draws the same RNG stream and allocates the same
+            // identifiers as the pre-crash run.
+            let live = Admit::Live {
+                limits: rp.limits,
+                durable: rp.durable,
+            };
+            self.admit(pid, &rp.name, rp.spawned_at, live);
+            let f: LipFn = Box::new(move |ctx| image(ctx));
+            self.start_process(pid, rp.args, f, Some(Tid(rp.main_tid)));
+            resumed += 1;
         }
-        for (pid, rs) in &scheduled {
-            match resolve(&rs.name) {
-                Some(image) => {
-                    self.reschedule(*pid, rs, image);
-                    resumed += 1;
-                }
-                None => {
-                    self.restore_lost(*pid, &rs.name, rs.arrival);
-                    lost += 1;
-                }
-            }
+        for (pid, rs) in scheduled {
+            let pid = Pid(pid);
+            let Some(image) = resolve(&rs.name) else {
+                self.admit(pid, &rs.name, rs.arrival, Admit::Exited(crashed.clone()));
+                lost += 1;
+                continue;
+            };
+            // A journalled arrival that had not started by the crash;
+            // arrivals already in the past fire at the restored clock.
+            let live = Admit::Live {
+                limits: rs.limits,
+                durable: rs.durable,
+            };
+            self.admit(pid, &rs.name, rs.arrival, live);
+            let f: LipFn = Box::new(move |ctx| image(ctx));
+            self.events.schedule(
+                rs.arrival.max(self.events.now()),
+                Event::SpawnProgram {
+                    pid,
+                    args: rs.args,
+                    f,
+                    main_tid: Some(Tid(rs.main_tid)),
+                },
+            );
+            resumed += 1;
         }
         // Rebuild mailboxes: delivered sends in journal order, minus the
         // prefix each receiver already consumed (journalled recvs replay
@@ -1168,161 +1229,6 @@ impl Kernel {
             torn,
             clock,
         }
-    }
-
-    /// Restores a journalled, completed process as a record (no
-    /// re-execution; its outputs are already durable).
-    fn restore_finished(&mut self, pid: u64, rp: &wal::ReplayProc, exit: &wal::ReplayExit) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rp.name.clone(),
-                spawned_at: rp.spawned_at,
-                exited_at: Some(exit.at),
-                status: exit.status.clone(),
-                output: exit.output.clone(),
-                usage: exit.usage,
-            },
-        );
-        self.names.insert(rp.name.clone(), Pid(pid));
-        self.durable_pids.insert(pid);
-    }
-
-    /// Records an unfinished program whose image could not be resolved.
-    fn restore_lost(&mut self, pid: u64, name: &str, spawned_at: SimTime) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: name.to_string(),
-                spawned_at,
-                exited_at: Some(self.events.now()),
-                status: ExitStatus::Crashed,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(name.to_string(), Pid(pid));
-    }
-
-    /// Re-admits one unfinished program under its original pid and main
-    /// tid, so re-execution draws the same RNG stream and allocates the
-    /// same identifiers as the pre-crash run.
-    fn readmit(&mut self, pid: u64, rp: &wal::ReplayProc, image: ProgramImage) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rp.name.clone(),
-                spawned_at: rp.spawned_at,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(rp.name.clone(), Pid(pid));
-        if let Some(q) = rp.limits.kv_quota_pages {
-            self.store.set_quota(OwnerId(pid), Some(q));
-        }
-        let deadline_at = rp.limits.deadline.map(|d| rp.spawned_at + d);
-        if let Some(t) = deadline_at {
-            self.events.schedule(
-                t.max(self.events.now()),
-                Event::DeadlineCheck { pid: Pid(pid) },
-            );
-        }
-        self.procs.insert(
-            pid,
-            Proc {
-                main_tid: Tid(rp.main_tid),
-                args: rp.args.clone(),
-                live_threads: 0,
-                mailbox: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                limits: rp.limits,
-                io_waiting: 0,
-                offloaded: Vec::new(),
-                finished: false,
-                deadline_at,
-                deadline_hit: false,
-                cancelled: false,
-                ttft_done: false,
-                last_pred_done: None,
-                seqs: EffectSeqs::default(),
-                durable: rp.durable,
-            },
-        );
-        self.durable_pids.insert(pid);
-        if self.bus.is_enabled() {
-            let name = rp.name.clone();
-            let at = self.events.now();
-            self.bus
-                .emit(at, move || EventKind::ProcessSpawn { pid, name });
-        }
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.spawn_thread_with_tid(Tid(rp.main_tid), Pid(pid), rp.args.clone(), f);
-    }
-
-    /// Re-schedules a journalled future arrival that had not started by the
-    /// crash. Arrivals already in the past fire at the restored clock.
-    fn reschedule(&mut self, pid: u64, rs: &wal::ReplaySched, image: ProgramImage) {
-        let arrival = rs.arrival.max(self.events.now());
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rs.name.clone(),
-                spawned_at: rs.arrival,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(rs.name.clone(), Pid(pid));
-        if let Some(q) = rs.limits.kv_quota_pages {
-            self.store.set_quota(OwnerId(pid), Some(q));
-        }
-        let deadline_at = rs.limits.deadline.map(|d| rs.arrival + d);
-        if let Some(t) = deadline_at {
-            self.events
-                .schedule(t.max(arrival), Event::DeadlineCheck { pid: Pid(pid) });
-        }
-        self.procs.insert(
-            pid,
-            Proc {
-                main_tid: Tid(0),
-                args: String::new(),
-                live_threads: 0,
-                mailbox: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                limits: rs.limits,
-                io_waiting: 0,
-                offloaded: Vec::new(),
-                finished: false,
-                deadline_at,
-                deadline_hit: false,
-                cancelled: false,
-                ttft_done: false,
-                last_pred_done: None,
-                seqs: EffectSeqs::default(),
-                durable: rs.durable,
-            },
-        );
-        self.durable_pids.insert(pid);
-        let args = rs.args.clone();
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.events.schedule(
-            arrival,
-            Event::SpawnProgram {
-                pid: Pid(pid),
-                args,
-                f,
-                main_tid: Some(Tid(rs.main_tid)),
-            },
-        );
     }
 
     // ---- WAL plumbing ----------------------------------------------------------
@@ -1591,11 +1497,7 @@ impl Kernel {
     /// [`Kernel::live_threads`] is non-zero afterwards, the remaining threads
     /// are deadlocked (e.g. blocked in `recv_msg` with no sender).
     pub fn run(&mut self) -> usize {
-        let before: usize = self
-            .records
-            .values()
-            .filter(|r| r.exited_at.is_some())
-            .count();
+        let exited_before = self.exited;
         // lint:allow(d1): sim.events_per_sec measures real host throughput — the gauge is observation-only and is never read back into simulation state
         let wall_start = std::time::Instant::now();
         let events_before = self.events.events_processed();
@@ -1626,12 +1528,7 @@ impl Kernel {
                 .events_per_sec
                 .set((processed as f64 / secs) as i64);
         }
-        let after: usize = self
-            .records
-            .values()
-            .filter(|r| r.exited_at.is_some())
-            .count();
-        after - before
+        self.exited - exited_before
     }
 
     fn resume(&mut self, tid: Tid, reply: SysReply) {
@@ -1726,12 +1623,7 @@ impl Kernel {
                 self.start_process(pid, args, f, main_tid);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
-            Event::RequeuePred { pred } => match self.exec {
-                ExecMode::Static => self.sched.on_arrival(self.events.now(), pred),
-                ExecMode::Continuous(_) => {
-                    self.cqueue.push(pred.pid.0, pred.critical, pred);
-                }
-            },
+            Event::RequeuePred { pred } => self.enqueue_pred(pred),
         }
     }
 
@@ -1822,23 +1714,73 @@ impl Kernel {
     }
 
     fn launch_batch(&mut self) {
-        let pending = self.sched.take_batch();
+        let mut pending = self.sched.take_batch();
         debug_assert!(!pending.is_empty());
         let now = self.events.now();
-        let tids: Vec<Tid> = pending.iter().map(|p| p.tid).collect();
-        let requeues: Vec<u32> = pending.iter().map(|p| p.requeues).collect();
-        let enqueued: Vec<SimTime> = pending.iter().map(|p| p.enqueued_at).collect();
-        let metas: Vec<(Pid, bool, u64)> =
-            pending.iter().map(|p| (p.pid, p.critical, p.seq)).collect();
-        let requests: Vec<PredRequest> = pending.into_iter().map(|p| p.req).collect();
-        for &at in &enqueued {
-            self.kmetrics.queue_delay_ns.observe((now - at).as_nanos());
+        let mut members = Vec::with_capacity(pending.len());
+        let mut requests = Vec::with_capacity(pending.len());
+        for p in &mut pending {
+            self.kmetrics
+                .queue_delay_ns
+                .observe((now - p.enqueued_at).as_nanos());
+            members.push((p.pid, p.tid, p.enqueued_at));
+            // The executor borrows each request's tokens and hands the
+            // request back with its result.
+            let tokens = std::mem::take(&mut p.req.tokens);
+            requests.push(PredRequest { tokens, ..p.req });
         }
-        let occupancy_pct = (requests.len() * 100 / self.max_batch.max(1)).min(100) as u32;
-        self.kmetrics
-            .batch_occupancy_pct
-            .observe(occupancy_pct as u64);
-        // One fault draw per request, in pool order (rate 0 draws nothing).
+        self.launch_gpu(requests, &members, move |k, _batch_id, results| {
+            (k.settle_batch(pending, results), SimDuration::ZERO)
+        });
+    }
+
+    /// Turns a static batch's results into replies, in pool order.
+    fn settle_batch(
+        &mut self,
+        pending: Vec<PendingPred>,
+        results: Vec<(PredRequest, Result<PredResult, ExecError>)>,
+    ) -> Vec<(Tid, SysReply)> {
+        let mut replies = Vec::with_capacity(pending.len());
+        for (mut p, (req, res)) in pending.into_iter().zip(results) {
+            p.req = req;
+            let reply = match res {
+                Err(ExecError::Kv(KvError::NoGpuMemory)) => {
+                    match self.kv_exhausted(p.tid, p.requeues) {
+                        Some(reply) => reply,
+                        None => {
+                            self.requeue_later(p);
+                            continue;
+                        }
+                    }
+                }
+                res => self.pred_reply(p.pid, p.seq, res.map(|r| r.dists)),
+            };
+            replies.push((p.tid, reply));
+        }
+        replies
+    }
+
+    /// Runs one GPU launch for either executor and schedules its
+    /// completion. `members[k]` is `(pid, tid, enqueued_at)` of
+    /// `requests[k]`. In order: one fault draw per request (an all-zero
+    /// plan draws nothing), the executor call, the batch-occupancy sample
+    /// and the `BatchBegin`/`PredExec`/`KvCow` events; then `settle` gets
+    /// the batch id and every request back with its result, and returns
+    /// the replies plus any extra (swap) time the launch occupies; last
+    /// the page gauges and the `BatchDone` event.
+    fn launch_gpu<S>(
+        &mut self,
+        requests: Vec<PredRequest>,
+        members: &[(Pid, Tid, SimTime)],
+        settle: S,
+    ) where
+        S: FnOnce(
+            &mut Self,
+            u64,
+            Vec<(PredRequest, Result<PredResult, ExecError>)>,
+        ) -> (Vec<(Tid, SysReply)>, SimDuration),
+    {
+        let now = self.events.now();
         let faulted: Vec<bool> = requests
             .iter()
             .map(|_| self.injector.pred_request())
@@ -1855,6 +1797,10 @@ impl Kernel {
                 .execute_batch_with_faults(&mut self.store, &requests, &faulted);
         let batch_id = self.next_batch;
         self.next_batch += 1;
+        let occupancy_pct = (requests.len() * 100 / self.max_batch.max(1)).min(100) as u32;
+        self.kmetrics
+            .batch_occupancy_pct
+            .observe(occupancy_pct as u64);
         let n_requests = requests.len() as u32;
         let new_tokens = report.new_tokens;
         self.bus.emit(now, || EventKind::BatchBegin {
@@ -1863,100 +1809,97 @@ impl Kernel {
             occupancy_pct,
             new_tokens,
         });
-        // One scheduler→GPU hop per member: which pooled pred executes
-        // in this batch, and how long it queued. Batched emission —
-        // one reserve and one capacity check for the whole iteration.
-        self.bus
-            .emit_batch(now, requests.len(), |k| EventKind::PredExec {
-                pid: metas[k].0 .0,
-                tid: tids[k].0,
+        // One scheduler→GPU hop per member (a chunked prefill hops once
+        // per chunk, which is exactly its service pattern). Batched
+        // emission: one reserve and one capacity check for the launch.
+        self.bus.emit_batch(now, requests.len(), |k| {
+            let (pid, tid, enqueued_at) = members[k];
+            EventKind::PredExec {
+                pid: pid.0,
+                tid: tid.0,
                 batch: batch_id,
                 tokens: requests[k].tokens.len() as u32,
-                enqueued_at: enqueued[k],
-            });
+                enqueued_at,
+            }
+        });
         let cow_delta = self.store.stats().cow_copies - cow_before;
         if cow_delta > 0 {
             self.bus
                 .emit(now, || EventKind::KvCow { copies: cow_delta });
         }
+        let (replies, extra) = settle(self, batch_id, requests.into_iter().zip(results).collect());
         self.kmetrics
             .gpu_pages_used
             .set(self.store.gpu_pages_used() as i64);
         self.kmetrics
             .disk_pages_used
             .set(self.store.disk_pages_used() as i64);
-        let adm = self.admission;
-        let mut replies: Vec<(Tid, SysReply)> = Vec::with_capacity(requests.len());
-        for (((((tid, res), req), requeues), enqueued_at), (ppid, critical, seq)) in tids
-            .into_iter()
-            .zip(results)
-            .zip(requests)
-            .zip(requeues)
-            .zip(enqueued)
-            .zip(metas)
-        {
-            let reply = match res {
-                Ok(r) => {
-                    if self.is_durable(ppid) {
-                        self.wal_buffer_pred(WalRecord::PredEffect {
-                            at: now,
-                            pid: ppid.0,
-                            seq,
-                            dists: r.dists.clone(),
-                        });
-                    }
-                    SysReply::Dists(r.dists)
-                }
-                // KV-pool exhaustion: with admission control on, back the
-                // request off and re-pool it instead of failing the LIP.
-                Err(ExecError::Kv(KvError::NoGpuMemory))
-                    if adm.is_some_and(|a| requeues < a.max_retries) =>
-                {
-                    let delay = adm.map(|a| a.retry_delay).unwrap_or_default();
-                    self.res_counters.preds_requeued.inc();
-                    self.bus.emit(now, || EventKind::PredRequeue {
-                        tid: tid.0,
-                        attempt: requeues + 1,
-                    });
-                    self.events.schedule(
-                        self.events.now() + delay,
-                        Event::RequeuePred {
-                            pred: PendingPred {
-                                tid,
-                                req,
-                                requeues: requeues + 1,
-                                enqueued_at,
-                                pid: ppid,
-                                critical,
-                                done: 0,
-                                dists: Vec::new(),
-                                start_len: 0,
-                                delay_recorded: false,
-                                seq,
-                            },
-                        },
-                    );
-                    continue;
-                }
-                Err(ExecError::Kv(KvError::NoGpuMemory)) if adm.is_some() => {
-                    // Requeue budget exhausted: shed the request.
-                    self.res_counters.preds_shed.inc();
-                    self.bus.emit(now, || EventKind::PredShed { tid: tid.0 });
-                    SysReply::Err(SysError::Busy)
-                }
-                Err(ExecError::Kv(e)) => SysReply::Err(SysError::Kv(e)),
-                Err(ExecError::NotResident) => SysReply::Err(SysError::Kv(KvError::NotResident)),
-                Err(ExecError::EmptyRequest) => SysReply::Err(SysError::BadArgument),
-                Err(ExecError::Faulted) => SysReply::Err(SysError::Fault("gpu.pred")),
-            };
-            replies.push((tid, reply));
-        }
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
-        self.events.schedule(
-            self.events.now() + report.duration,
-            Event::BatchDone { batch_id },
-        );
+        self.events
+            .schedule(now + extra + report.duration, Event::BatchDone { batch_id });
+    }
+
+    /// The reply a finished `pred` delivers. A durable process's
+    /// distributions are buffered as a WAL `PredEffect` frame first.
+    fn pred_reply(&mut self, pid: Pid, seq: u64, result: Result<Vec<Dist>, ExecError>) -> SysReply {
+        match result {
+            Ok(dists) => {
+                if self.is_durable(pid) {
+                    self.wal_buffer_pred(WalRecord::PredEffect {
+                        at: self.events.now(),
+                        pid: pid.0,
+                        seq,
+                        dists: dists.clone(),
+                    });
+                }
+                SysReply::Dists(dists)
+            }
+            Err(ExecError::Kv(e)) => SysReply::Err(SysError::Kv(e)),
+            Err(ExecError::NotResident) => SysReply::Err(SysError::Kv(KvError::NotResident)),
+            Err(ExecError::EmptyRequest) => SysReply::Err(SysError::BadArgument),
+            Err(ExecError::Faulted) => SysReply::Err(SysError::Fault("gpu.pred")),
+        }
+    }
+
+    /// A `pred` the KV pool could not fit. With admission control on it is
+    /// backed off (`None`: the caller re-pools it with
+    /// [`Kernel::requeue_later`]) while its retry budget lasts, then shed
+    /// as `Busy`; without, it fails with `Kv(NoGpuMemory)`.
+    fn kv_exhausted(&mut self, tid: Tid, requeues: u32) -> Option<SysReply> {
+        let now = self.events.now();
+        match self.admission {
+            Some(a) if requeues < a.max_retries => {
+                self.res_counters.preds_requeued.inc();
+                self.bus.emit(now, || EventKind::PredRequeue {
+                    tid: tid.0,
+                    attempt: requeues + 1,
+                });
+                None
+            }
+            Some(_) => {
+                self.res_counters.preds_shed.inc();
+                self.bus.emit(now, || EventKind::PredShed { tid: tid.0 });
+                Some(SysReply::Err(SysError::Busy))
+            }
+            None => Some(SysReply::Err(SysError::Kv(KvError::NoGpuMemory))),
+        }
+    }
+
+    /// Re-pools a backed-off `pred` after the admission retry delay.
+    fn requeue_later(&mut self, mut pred: PendingPred) {
+        pred.requeues += 1;
+        let delay = self.admission.map(|a| a.retry_delay).unwrap_or_default();
+        let at = self.events.now() + delay;
+        self.events.schedule(at, Event::RequeuePred { pred });
+    }
+
+    /// Pools a `pred` in whichever queue the execution mode uses.
+    fn enqueue_pred(&mut self, pred: PendingPred) {
+        match self.exec {
+            ExecMode::Static => self.sched.on_arrival(self.events.now(), pred),
+            ExecMode::Continuous(_) => self.cqueue.push(pred.pid.0, pred.critical, pred),
+        }
     }
 
     // ---- continuous (iteration-level) executor ---------------------------------
@@ -2162,6 +2105,7 @@ impl Kernel {
 
         // 2. One slice per resident sequence, at most `chunk` tokens.
         let mut parts: Vec<usize> = Vec::new();
+        let mut members = Vec::new();
         let mut requests: Vec<PredRequest> = Vec::new();
         for (i, s) in self.active.iter().enumerate() {
             if !matches!(
@@ -2176,71 +2120,40 @@ impl Kernel {
                 owner: s.req.owner,
                 tokens: s.req.tokens[s.done..s.done + take].to_vec(),
             });
+            members.push((s.pid, s.tid, s.enqueued_at));
             parts.push(i);
         }
         if parts.is_empty() {
             return;
         }
 
-        // 3. Fault draws, one per participating request, in admission
-        // order (all-zero plans draw nothing).
-        let faulted: Vec<bool> = requests
-            .iter()
-            .map(|_| self.injector.pred_request())
-            .collect();
-        for f in &faulted {
-            if *f {
-                self.bus
-                    .emit(now, || EventKind::FaultInjected { site: "gpu.pred" });
-            }
-        }
-        let cow_before = self.store.stats().cow_copies;
-        let (results, report) =
-            self.gpu
-                .execute_batch_with_faults(&mut self.store, &requests, &faulted);
-        let batch_id = self.next_batch;
-        self.next_batch += 1;
-        let occupancy_pct = (parts.len() * 100 / self.max_batch.max(1)).min(100) as u32;
-        self.kmetrics
-            .batch_occupancy_pct
-            .observe(occupancy_pct as u64);
-        let n_requests = parts.len() as u32;
-        let new_tokens = report.new_tokens;
-        self.bus.emit(now, || EventKind::BatchBegin {
-            id: batch_id,
-            requests: n_requests,
-            occupancy_pct,
-            new_tokens,
+        // 3. Launch; phases 4–6 settle the results.
+        self.launch_gpu(requests, &members, move |k, batch_id, results| {
+            k.settle_iteration(batch_id, results, &parts, preempted, chunk, swap_extra)
         });
-        // One scheduler→GPU hop per iteration member (chunked prefills
-        // hop once per chunk, which is exactly their service pattern).
-        // Batched: one reserve/capacity check for the whole iteration.
-        let active = &self.active;
-        self.bus.emit_batch(now, parts.len(), |k| {
-            let s = &active[parts[k]];
-            EventKind::PredExec {
-                pid: s.pid.0,
-                tid: s.tid.0,
-                batch: batch_id,
-                tokens: requests[k].tokens.len() as u32,
-                enqueued_at: s.enqueued_at,
-            }
-        });
-        let cow_delta = self.store.stats().cow_copies - cow_before;
-        if cow_delta > 0 {
-            self.bus
-                .emit(now, || EventKind::KvCow { copies: cow_delta });
-        }
+    }
 
+    /// Phases 4–6 of [`Kernel::launch_iteration`]: applies the results of
+    /// the iteration members `parts` (active indices, in launch order).
+    /// Returns the replies and the iteration's swap time, which phase 5
+    /// adds to `swap_extra`.
+    fn settle_iteration(
+        &mut self,
+        batch_id: u64,
+        results: Vec<(PredRequest, Result<PredResult, ExecError>)>,
+        parts: &[usize],
+        mut preempted: Vec<usize>,
+        chunk: usize,
+        mut swap_extra: SimDuration,
+    ) -> (Vec<(Tid, SysReply)>, SimDuration) {
+        let now = self.events.now();
         // 4. Apply results: accumulate chunk progress, retire finished or
         // terminally failed sequences, collect KV-exhausted ones.
-        let adm = self.admission;
         let mut replies: Vec<(Tid, SysReply)> = Vec::new();
         let mut retire: Vec<usize> = Vec::new();
         let mut failed_mem: Vec<usize> = Vec::new();
-        for (k, res) in results.into_iter().enumerate() {
-            let i = parts[k];
-            let take = requests[k].tokens.len();
+        for ((req, res), &i) in results.into_iter().zip(parts) {
+            let take = req.tokens.len();
             match res {
                 Ok(r) => {
                     let s = &mut self.active[i];
@@ -2266,36 +2179,20 @@ impl Kernel {
                         None
                     };
                     if let Some(dists) = finished_dists {
-                        if self.is_durable(cpid) {
-                            self.wal_buffer_pred(WalRecord::PredEffect {
-                                at: now,
-                                pid: cpid.0,
-                                seq: cseq,
-                                dists: dists.clone(),
-                            });
-                        }
-                        replies.push((ctid, SysReply::Dists(dists)));
+                        let reply = self.pred_reply(cpid, cseq, Ok(dists));
+                        replies.push((ctid, reply));
                         retire.push(i);
                     }
                     self.cqueue.charge(cpid.0, ccrit, take as u64);
                 }
                 Err(ExecError::Kv(KvError::NoGpuMemory)) => failed_mem.push(i),
                 Err(e) => {
-                    let (file, owner, start_len, done, stid) = {
+                    self.roll_back(i);
+                    let (spid, sseq, stid) = {
                         let s = &self.active[i];
-                        (s.req.file, s.req.owner, s.start_len, s.done, s.tid)
+                        (s.pid, s.seq, s.tid)
                     };
-                    // A failed pred leaves no partial work behind, exactly
-                    // as in static mode: roll earlier chunks back.
-                    if done > 0 {
-                        let _ = self.store.truncate(file, owner, start_len);
-                    }
-                    let reply = match e {
-                        ExecError::NotResident => SysReply::Err(SysError::Kv(KvError::NotResident)),
-                        ExecError::EmptyRequest => SysReply::Err(SysError::BadArgument),
-                        ExecError::Faulted => SysReply::Err(SysError::Fault("gpu.pred")),
-                        ExecError::Kv(ke) => SysReply::Err(SysError::Kv(ke)),
-                    };
+                    let reply = self.pred_reply(spid, sseq, Err(e));
                     replies.push((stid, reply));
                     retire.push(i);
                 }
@@ -2359,35 +2256,14 @@ impl Kernel {
             if self.store.can_append(file, need).unwrap_or(false) {
                 continue; // stays active; next iteration makes progress
             }
-            let (stid, srequeues, sdone) = {
-                let s = &self.active[i];
-                (s.tid, s.requeues, s.done)
-            };
-            if adm.is_some_and(|a| srequeues < a.max_retries) {
-                self.res_counters.preds_requeued.inc();
-                let attempt = srequeues + 1;
-                self.bus.emit(now, || EventKind::PredRequeue {
-                    tid: stid.0,
-                    attempt,
-                });
-                requeued.push(i);
-            } else {
-                let (file, owner, start_len) = {
-                    let s = &self.active[i];
-                    (s.req.file, s.req.owner, s.start_len)
-                };
-                if sdone > 0 {
-                    let _ = self.store.truncate(file, owner, start_len);
+            let (stid, srequeues) = (self.active[i].tid, self.active[i].requeues);
+            match self.kv_exhausted(stid, srequeues) {
+                None => requeued.push(i),
+                Some(reply) => {
+                    self.roll_back(i);
+                    replies.push((stid, reply));
+                    retire.push(i);
                 }
-                let reply = if adm.is_some() {
-                    self.res_counters.preds_shed.inc();
-                    self.bus.emit(now, || EventKind::PredShed { tid: stid.0 });
-                    SysReply::Err(SysError::Busy)
-                } else {
-                    SysReply::Err(SysError::Kv(KvError::NoGpuMemory))
-                };
-                replies.push((stid, reply));
-                retire.push(i);
             }
         }
 
@@ -2395,7 +2271,7 @@ impl Kernel {
         // and requeued ones back to the wait queue (keeping their chunk
         // progress — preemption only changes timing, never results).
         let mut kept = Vec::with_capacity(self.active.len());
-        for (j, mut s) in std::mem::take(&mut self.active).into_iter().enumerate() {
+        for (j, s) in std::mem::take(&mut self.active).into_iter().enumerate() {
             if retire.contains(&j) {
                 continue;
             }
@@ -2403,27 +2279,23 @@ impl Kernel {
                 let (spid, scrit) = (s.pid.0, s.critical);
                 self.cqueue.push_front(spid, scrit, s);
             } else if requeued.contains(&j) {
-                s.requeues += 1;
-                let delay = adm.map(|a| a.retry_delay).unwrap_or_default();
-                self.events
-                    .schedule(now + delay, Event::RequeuePred { pred: s });
+                self.requeue_later(s);
             } else {
                 kept.push(s);
             }
         }
         self.active = kept;
+        (replies, swap_extra)
+    }
 
-        self.kmetrics
-            .gpu_pages_used
-            .set(self.store.gpu_pages_used() as i64);
-        self.kmetrics
-            .disk_pages_used
-            .set(self.store.disk_pages_used() as i64);
-        let duration = swap_extra + report.duration;
-        self.pending_batches.insert(batch_id, replies);
-        self.gpu_busy = true;
-        self.events
-            .schedule(now + duration, Event::BatchDone { batch_id });
+    /// A failed continuous-mode `pred` leaves no partial work behind,
+    /// exactly as in static mode: truncate what its earlier chunks
+    /// appended.
+    fn roll_back(&mut self, i: usize) {
+        let s = &self.active[i];
+        if s.done > 0 {
+            let _ = self.store.truncate(s.req.file, s.req.owner, s.start_len);
+        }
     }
 
     // ---- syscall dispatch -----------------------------------------------------------
@@ -2434,15 +2306,37 @@ impl Kernel {
         self.events.schedule(at, Event::Resume(tid, reply));
     }
 
-    /// Marks a syscall answered from the WAL effect journal during recovery
+    /// Draws `pid`'s next effect sequence number from one syscall class's
+    /// stream (`seq_of`) and, for a durable process, looks that call up in
+    /// the replayed journal (`journal`). Every journalled syscall enters
+    /// through here; `None` when `pid` is not in the process table.
+    fn journalled<T: Clone>(
+        &mut self,
+        pid: Pid,
+        seq_of: fn(&mut EffectSeqs) -> &mut u64,
+        journal: fn(&wal::Replay) -> &BTreeMap<(u64, u64), T>,
+    ) -> Option<(u64, Option<T>)> {
+        let proc = self.procs.get_mut(pid.0)?;
+        let next = seq_of(&mut proc.seqs);
+        let seq = *next;
+        *next += 1;
+        let hit = match &self.replay {
+            Some(r) if proc.durable => journal(r).get(&(pid.0, seq)).cloned(),
+            _ => None,
+        };
+        Some((seq, hit))
+    }
+
+    /// Answers a syscall from the WAL effect journal during recovery
     /// replay — the recovery-replay phase bucket.
-    fn note_replay_hit(&mut self, pid: Pid, tid: Tid, sys: &'static str) {
+    fn answer_from_journal(&mut self, pid: Pid, tid: Tid, sys: &'static str, reply: SysReply) {
         let at = self.events.now();
         self.bus.emit(at, || EventKind::ReplayAnswered {
             pid: pid.0,
             tid: tid.0,
             sys,
         });
+        self.complete(tid, reply);
     }
 
     fn owner_of(&self, tid: Tid) -> Option<(Pid, OwnerId)> {
@@ -2568,28 +2462,17 @@ impl Kernel {
                     tokens: n_tokens,
                     pool,
                 });
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.pred;
-                    p.seqs.pred += 1;
-                    s
-                };
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.pred, |r| &r.preds),
+                    "process missing"
+                );
                 // Recovery replay: a pred whose distributions were durable
                 // at the crash answers from the log, rebuilding its KV
                 // append without charging GPU time.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.preds.get(&(pid.0, seq)))
-                        .filter(|d| d.len() == tokens.len())
-                        .cloned();
-                    if let Some(dists) = hit {
-                        if self.replay_pred_append(kv, owner, &tokens) {
-                            self.note_replay_hit(pid, tid, sys_name);
-                            self.complete(tid, SysReply::Dists(dists));
-                            return;
-                        }
+                if let Some(dists) = hit.filter(|d| d.len() == tokens.len()) {
+                    if self.replay_pred_append(kv, owner, &tokens) {
+                        self.answer_from_journal(pid, tid, sys_name, SysReply::Dists(dists));
+                        return;
                     }
                 }
                 let critical = self.procs[pid.0].main_tid == tid;
@@ -2610,10 +2493,7 @@ impl Kernel {
                     delay_recorded: false,
                     seq,
                 };
-                match self.exec {
-                    ExecMode::Static => self.sched.on_arrival(self.events.now(), pending),
-                    ExecMode::Continuous(_) => self.cqueue.push(pid.0, critical, pending),
-                }
+                self.enqueue_pred(pending);
                 // Thread stays parked; the batch scheduler will resume it.
             }
             Syscall::KvCreate => {
@@ -2770,7 +2650,7 @@ impl Kernel {
                 }
                 // Sibling threads inherit the process's args string.
                 let args = self.procs[pid.0].args.clone();
-                let new_tid = self.spawn_thread(pid, args, f);
+                let new_tid = self.spawn_thread(pid, args, f, None);
                 self.bus.emit(sys_at, || EventKind::CausalEdge {
                     edge: EdgeKind::Spawn,
                     src_pid: pid.0,
@@ -2808,12 +2688,10 @@ impl Kernel {
                 sys!(self.records.get_mut(pid.0), "process record missing")
                     .usage
                     .tool_calls += 1;
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.tool;
-                    p.seqs.tool += 1;
-                    s
-                };
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.tool, |r| &r.tools),
+                    "process missing"
+                );
                 let now = self.events.now();
                 // Recovery replay: a journalled outcome answers without
                 // re-invoking the handler — the side-effect already happened
@@ -2821,30 +2699,22 @@ impl Kernel {
                 // breaker re-learns the outcome (post-checkpoint reports
                 // were lost with the crash) unless the journalled result
                 // was itself a breaker rejection.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.tools.get(&(pid.0, seq)))
-                        .cloned();
-                    if let Some(rec) = hit {
-                        if !matches!(rec.result, Err(SysError::Unavailable)) {
-                            if let Some(bank) = self.breakers.as_mut() {
-                                bank.report(
-                                    &name,
-                                    rec.result.is_ok(),
-                                    now + SimDuration::from_nanos(rec.latency_ns),
-                                );
-                            }
+                if let Some(rec) = hit {
+                    if !matches!(rec.result, Err(SysError::Unavailable)) {
+                        if let Some(bank) = self.breakers.as_mut() {
+                            bank.report(
+                                &name,
+                                rec.result.is_ok(),
+                                now + SimDuration::from_nanos(rec.latency_ns),
+                            );
                         }
-                        let reply = match rec.result {
-                            Ok(s) => SysReply::Text(s),
-                            Err(e) => SysReply::Err(e),
-                        };
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, reply);
-                        return;
                     }
+                    let reply = match rec.result {
+                        Ok(s) => SysReply::Text(s),
+                        Err(e) => SysReply::Err(e),
+                    };
+                    self.answer_from_journal(pid, tid, sys_name, reply);
+                    return;
                 }
                 // Circuit breaker: fast-fail while open (no latency charge
                 // beyond the syscall cost — that is the point of breaking).
@@ -2989,97 +2859,60 @@ impl Kernel {
                 );
             }
             Syscall::SendMsg { to, data } => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.send;
-                    p.seqs.send += 1;
-                    s
-                };
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.send, |r| &r.send_results),
+                    "process missing"
+                );
                 // Recovery replay: the delivery (if any) happened pre-crash
                 // and is already in the rebuilt mailbox or a journalled
                 // recv; re-delivering would duplicate the message.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.send_results.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(ok) = hit {
-                        let reply = if ok {
-                            SysReply::Unit
-                        } else {
-                            SysReply::Err(SysError::NotFound)
-                        };
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, reply);
-                        return;
+                if let Some(ok) = hit {
+                    let reply = if ok {
+                        SysReply::Unit
+                    } else {
+                        SysReply::Err(SysError::NotFound)
+                    };
+                    self.answer_from_journal(pid, tid, sys_name, reply);
+                    return;
+                }
+                let ok = self.procs.get(to.0).is_some_and(|t| !t.finished);
+                // Injected drop (drawn only for a live target): the message
+                // vanishes in flight. The sender still sees success — IPC is
+                // at-most-once, like UDP — so resilient LIPs need
+                // acks/timeouts, which the chaos tests exercise.
+                let delivered = ok && !self.injector.ipc_send();
+                if ok && !delivered {
+                    self.bus.emit(sys_at, || EventKind::IpcDrop {
+                        from: pid.0,
+                        to: to.0,
+                    });
+                }
+                // Delivery wakes a parked receiver or queues in the mailbox.
+                let mut waiter = None;
+                if delivered {
+                    let target = sys!(self.procs.get_mut(to.0), "ipc target missing");
+                    waiter = target.recv_waiters.pop_front();
+                    if waiter.is_none() {
+                        target.mailbox.push_back((pid, data.clone(), sys_at, tid.0));
                     }
                 }
                 // Journal the send when either endpoint is durable: the
                 // sender's replay needs the result; the receiver's mailbox
                 // rebuild needs the payload.
-                let journal = self.is_durable(pid) || self.is_durable(to);
-                match self.procs.get(to.0) {
-                    Some(target) if !target.finished => {}
-                    _ => {
-                        if journal {
-                            self.wal_append(WalRecord::IpcSend {
-                                at: sys_at,
-                                from: pid.0,
-                                to: to.0,
-                                seq,
-                                ok: false,
-                                delivered: false,
-                                data: data.clone(),
-                            });
-                        }
-                        self.complete(tid, SysReply::Err(SysError::NotFound));
-                        return;
-                    }
-                }
-                // Injected drop: the message vanishes in flight. The sender
-                // still sees success — IPC is at-most-once, like UDP — so
-                // resilient LIPs need acks/timeouts, which the chaos tests
-                // exercise.
-                if self.injector.ipc_send() {
-                    self.bus.emit(sys_at, || EventKind::IpcDrop {
-                        from: pid.0,
-                        to: to.0,
-                    });
-                    if journal {
-                        self.wal_append(WalRecord::IpcSend {
-                            at: sys_at,
-                            from: pid.0,
-                            to: to.0,
-                            seq,
-                            ok: true,
-                            delivered: false,
-                            data: data.clone(),
-                        });
-                    }
-                    self.complete(tid, SysReply::Unit);
-                    return;
-                }
-                let waiter = {
-                    let target = sys!(self.procs.get_mut(to.0), "ipc target missing");
-                    match target.recv_waiters.pop_front() {
-                        Some(w) => Some(w),
-                        None => {
-                            target.mailbox.push_back((pid, data.clone(), sys_at, tid.0));
-                            None
-                        }
-                    }
-                };
-                if journal {
+                if self.is_durable(pid) || self.is_durable(to) {
                     self.wal_append(WalRecord::IpcSend {
                         at: sys_at,
                         from: pid.0,
                         to: to.0,
                         seq,
-                        ok: true,
-                        delivered: true,
+                        ok,
+                        delivered,
                         data: data.clone(),
                     });
+                }
+                if !ok {
+                    self.complete(tid, SysReply::Err(SysError::NotFound));
+                    return;
                 }
                 if let Some((wtid, rseq)) = waiter {
                     if self.is_durable(to) {
@@ -3105,29 +2938,14 @@ impl Kernel {
                 self.complete(tid, SysReply::Unit);
             }
             Syscall::Recv => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.recv;
-                    p.seqs.recv += 1;
-                    s
-                };
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.recvs.get(&(pid.0, seq)))
-                        .cloned();
-                    if let Some((from, data)) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(
-                            tid,
-                            SysReply::Msg {
-                                from: Pid(from),
-                                data,
-                            },
-                        );
-                        return;
-                    }
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.recv, |r| &r.recvs),
+                    "process missing"
+                );
+                if let Some((from, data)) = hit {
+                    let from = Pid(from);
+                    self.answer_from_journal(pid, tid, sys_name, SysReply::Msg { from, data });
+                    return;
                 }
                 let delivered = {
                     let proc = sys!(self.procs.get_mut(pid.0), "process missing");
@@ -3165,29 +2983,18 @@ impl Kernel {
                 }
             }
             Syscall::LookupProcess { name } => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.lookup;
-                    p.seqs.lookup += 1;
-                    s
-                };
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.lookups.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(found) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, SysReply::MaybePid(found.map(Pid)));
-                        return;
-                    }
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.lookup, |r| &r.lookups),
+                    "process missing"
+                );
+                if let Some(found) = hit {
+                    let reply = SysReply::MaybePid(found.map(Pid));
+                    self.answer_from_journal(pid, tid, sys_name, reply);
+                    return;
                 }
-                let found = self
-                    .names
-                    .get(&name)
-                    .copied()
-                    .filter(|p| self.procs.get(p.0).is_some_and(|pr| !pr.finished));
+                // `names` holds unfinished processes only; the most
+                // recently admitted one answers.
+                let found = self.names.get(&name).and_then(|pids| pids.last()).copied();
                 if self.is_durable(pid) {
                     self.wal_append(WalRecord::Lookup {
                         at: sys_at,
@@ -3241,26 +3048,16 @@ impl Kernel {
                 self.complete(tid, SysReply::Text(text));
             }
             Syscall::Now => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.now;
-                    p.seqs.now += 1;
-                    s
-                };
+                let (seq, hit) = sys!(
+                    self.journalled(pid, |s| &mut s.now, |r| &r.nows),
+                    "process missing"
+                );
                 // Replayed `now` returns the *original* observation: the
                 // recovered clock starts past the crash point, and a LIP
                 // branching on time must see the same values it saw before.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.nows.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(t) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, SysReply::Time(t));
-                        return;
-                    }
+                if let Some(t) = hit {
+                    self.answer_from_journal(pid, tid, sys_name, SysReply::Time(t));
+                    return;
                 }
                 let t = self.events.now();
                 if self.is_durable(pid) {
@@ -3467,9 +3264,11 @@ impl Kernel {
         for f in victims {
             let _ = self.store.remove(f, OwnerId::ADMIN);
         }
+        let mut durable = false;
         if let Some(proc) = self.procs.get_mut(pid.0) {
             proc.finished = true;
             proc.mailbox.clear();
+            durable = proc.durable;
         }
         let now = self.events.now();
         let Some(rec) = self.records.get_mut(pid.0) else {
@@ -3477,22 +3276,25 @@ impl Kernel {
             return;
         };
         rec.exited_at = Some(now);
+        self.exited += 1;
+        if let Some(pids) = self.names.get_mut(&rec.name) {
+            pids.remove(&pid);
+            if pids.is_empty() {
+                self.names.remove(&rec.name);
+            }
+        }
         let ok = rec.status.is_ok();
-        let exit_rec = if self.durable_pids.contains(&pid.0) {
-            Some(WalRecord::ProcExit {
+        if durable {
+            // A durable exit frame makes the whole program's outcome
+            // durable: recovery restores it as a record, no re-execution.
+            let exit = WalRecord::ProcExit {
                 at: now,
                 pid: pid.0,
                 status: rec.status.clone(),
                 output: rec.output.clone(),
                 usage: rec.usage,
-            })
-        } else {
-            None
-        };
-        if let Some(r) = exit_rec {
-            // A durable exit frame makes the whole program's outcome
-            // durable: recovery restores it as a record, no re-execution.
-            self.wal_append(r);
+            };
+            self.wal_append(exit);
         }
         self.bus
             .emit(now, || EventKind::ProcessExit { pid: pid.0, ok });

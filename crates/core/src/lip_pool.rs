@@ -103,8 +103,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    /// Both tests use the process-global pool; running them one at a time
+    /// keeps the concurrent test from growing it mid-measurement.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn jobs_run_and_join() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let hits = Arc::new(AtomicU64::new(0));
         let handles: Vec<JobHandle> = (0..32)
             .map(|_| {
@@ -124,6 +129,7 @@ mod tests {
     fn workers_are_reused_across_waves() {
         // Sequential bodies should keep re-parking the same worker rather
         // than growing the pool per job.
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let before = pool().spawned.load(Ordering::Relaxed);
         for _ in 0..16 {
             spawn_lip(Box::new(|| {})).join();

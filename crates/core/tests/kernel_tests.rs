@@ -329,6 +329,27 @@ fn ipc_lookup_by_name() {
 }
 
 #[test]
+fn lookup_finds_live_process_after_namesake_exits() {
+    let mut k = kernel();
+    let older = k.spawn_process("w", "", |ctx| {
+        let m = ctx.recv_msg()?;
+        ctx.emit(&m.data)?;
+        Ok(())
+    });
+    let newer = k.spawn_process("w", "", |_| Ok(()));
+    let client = k.spawn_process("client", "", |ctx| {
+        ctx.sleep(SimDuration::from_millis(1))?;
+        let target = ctx.lookup_process("w")?.ok_or(SysError::NotFound)?;
+        ctx.send_msg(target, "ping")
+    });
+    k.run();
+    assert!(k.record(newer).unwrap().exited_at.is_some());
+    assert!(k.record(client).unwrap().status.is_ok());
+    assert_eq!(k.record(older).unwrap().output, "ping");
+    assert_eq!(k.live_threads(), 0, "the older \"w\" must not deadlock");
+}
+
+#[test]
 fn crash_cleanup_reclaims_files_and_locks() {
     let mut k = kernel();
     let sys = k.tokenizer().encode("shared file");
